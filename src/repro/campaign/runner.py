@@ -170,12 +170,19 @@ def _evaluate_batch_items(evaluator, items: Sequence[tuple[int, dict]]
 
 #: Behavioral-compiler registry counters shipped alongside the linalg cache
 #: counters in every chunk's solver-stats delta (``solver_stats`` key ->
-#: :mod:`repro.telemetry.registry` counter name).  They ride the same
-#: always-on delta/merge path, so kernel-cache efficacy inside pool workers
-#: is visible on the aggregated :class:`~repro.campaign.results
+#: :mod:`repro.telemetry.registry` counter name): kernel compiles, cache
+#: hits and the compiled -> interpreter fallbacks by reason.  They ride the
+#: same always-on delta/merge path, so kernel-cache efficacy inside pool
+#: workers is visible on the aggregated :class:`~repro.campaign.results
 #: .CampaignResult` even with telemetry off.
 _HDL_COUNTERS = (("hdl_compiles", "hdl.compile.count"),
-                 ("hdl_compile_cache_hits", "hdl.compile.cache_hits"))
+                 ("hdl_compile_cache_hits", "hdl.compile.cache_hits"),
+                 ("hdl_fallback_trace_error",
+                  "hdl.compile.fallback.trace_error"),
+                 ("hdl_fallback_max_variants",
+                  "hdl.compile.fallback.max_variants"),
+                 ("hdl_fallback_guarded_per_lane",
+                  "hdl.compile.fallback.guarded_per_lane"))
 
 
 def _merge_solver_stats(total: dict[str, int], delta: dict[str, int]) -> None:

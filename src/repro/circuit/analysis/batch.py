@@ -149,6 +149,10 @@ def assemble_batch(system: MNASystem, x: np.ndarray, analysis: str,
         if getattr(device, "batch_safe", False):
             device.stamp(ctx)
     if unsafe:
+        from ...hdl.compile.runtime import count_per_lane
+
+        for device in unsafe:
+            count_per_lane(device, ctx.batch)
         for lane in range(ctx.batch):
             columns.set_unsafe_lane(lane)
             lane_ctx = ctx.lane_context(lane)

@@ -19,10 +19,11 @@ existing :class:`~repro.ad.Dual` machinery: the selected device parameters
 are temporarily replaced by dual numbers (one seed slot each) and the
 circuit is re-assembled through :class:`SeededStampContext`, which splits
 the dual residuals into value and derivative parts.  Linear devices
-(R/L/C, mechanical elements, DC sources), the diode and every behavioral /
-closed-form-transducer device propagate the seeds by plain arithmetic;
-energy-method transducer devices (``closed_form=False``) cannot -- they are
-detected and reported with a fix-it hint.
+(R/L/C, mechanical elements, DC sources), the diode and every behavioral
+device propagate the seeds by plain arithmetic -- transducer devices
+included, whether built from the Table 3 closed forms or by the energy
+method, whose co-energy partials are exact symbolic expressions over the
+seeded geometry (:mod:`repro.hdl.compile.partials`).
 
 Parameters are addressed as ``"<device>.<parameter>"`` strings against the
 device tunable-parameter protocol (:meth:`~repro.circuit.devices.base.Device
@@ -147,14 +148,6 @@ class seeded_parameters:
         self._saved: list[object] = []
 
     def __enter__(self) -> "seeded_parameters":
-        if self.nvars > 0:
-            for ref in self.refs:
-                if not getattr(ref.device, "dual_parameter_safe", True):
-                    raise SensitivityError(
-                        f"device {ref.device.name!r} cannot propagate exact "
-                        f"parameter duals for {ref.label!r}; energy-method "
-                        "transducer devices must be rebuilt with "
-                        "closed_form=True to expose exact sensitivities")
         self._saved = [ref.device.get_parameter(ref.parameter)
                        for ref in self.refs]
         for k, ref in enumerate(self.refs):
@@ -247,9 +240,7 @@ def _run_seeded(system: MNASystem, ctx: SeededStampContext) -> SeededStampContex
         return system.run_stamps(ctx)
     except ValueError as exc:
         raise SensitivityError(
-            "a device could not propagate the sensitivity seeds "
-            f"({exc}); energy-method transducer devices need "
-            "closed_form=True to expose exact parameter derivatives"
+            f"a device could not propagate the sensitivity seeds ({exc})"
         ) from exc
 
 

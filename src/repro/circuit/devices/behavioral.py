@@ -257,12 +257,6 @@ class BehavioralDevice(Device):
         #: transducer closure capturing its geometry.  ``set_parameter``
         #: writes both places so the sensitivity layer can seed either kind.
         self.parameter_bindings = dict(parameter_bindings or {})
-        #: False when the behaviour cannot propagate AD-dual *parameter*
-        #: values exactly (e.g. the energy-method transducer path, whose
-        #: internal gradient/Hessian machinery seeds its own dual space and
-        #: would silently contaminate or drop foreign seeds).  The
-        #: sensitivity layer refuses to dual-seed such devices.
-        self.dual_parameter_safe = True
 
     # ------------------------------------------------------ tunable parameters
     def parameter_names(self) -> tuple[str, ...]:

@@ -6,19 +6,24 @@ architectures alike -- to a typed expression IR by concolic tracing
 and emits cached scalar and lane-vectorized kernels for residual, Jacobian
 and ``dF/dp`` evaluation (:mod:`.codegen`).  :mod:`.runtime` wires the
 kernels into ``BehavioralDevice`` stamping with the interpreter retained as
-the verified fallback.
+the verified fallback.  :mod:`.partials` compiles the energy method: the
+co-energy partials of a transducer are derived symbolically (the ``diff``
+pass) and spliced into the device trace, so the kernels carry exact
+Hessians and parameter derivatives.
 
 Compiled kernels are cached process-wide by a SHA-256 structural
 fingerprint (:func:`repro.hdl.compile.ir.fingerprint`), the same
 content-keying scheme as :func:`repro.linalg.cache.matrix_fingerprint`;
 ``hdl.compile.count`` / ``hdl.compile.cache_hits`` telemetry counters track
-compiles vs. cache reuse and ``hdl.kernel.eval_s`` histograms kernel time.
+compiles vs. cache reuse, ``hdl.compile.fallback.<reason>`` counts every
+compiled -> interpreter fallback, and ``hdl.kernel.eval_s`` histograms
+kernel time.
 
 Escape hatches: ``SimulationOptions(behavioral_compile=False)`` per run, or
 ``REPRO_BEHAVIORAL_INTERP=1`` in the environment for everything.
 """
 
-from . import ir, passes
+from . import ir, partials, passes
 from .codegen import KernelSet, cache_info, clear_cache, compile_variant
 from .runtime import (MAX_VARIANTS, batch_ready, compilation_enabled,
                       parameter_gradients, state_for, try_record, try_stamp,
@@ -26,7 +31,7 @@ from .runtime import (MAX_VARIANTS, batch_ready, compilation_enabled,
 from .trace import TraceError, TracedVariant, trace_behavior
 
 __all__ = [
-    "ir", "passes", "KernelSet", "compile_variant", "cache_info",
+    "ir", "partials", "passes", "KernelSet", "compile_variant", "cache_info",
     "clear_cache", "TraceError", "TracedVariant", "trace_behavior",
     "compile_device", "compilation_enabled", "state_for", "try_stamp",
     "try_record", "batch_ready", "try_stamp_batch", "parameter_gradients",

@@ -526,6 +526,11 @@ class KernelSet:
 
 
 _CACHE: dict[str, KernelSet] = {}
+#: Process-wide kernel cache bound: inserting beyond it clears the whole
+#: table (devices keep their bound kernels; structurally equal devices just
+#: compile again).  Campaigns reuse a handful of model structures, so
+#: clearing is rare and simpler than LRU bookkeeping.
+_CACHE_LIMIT = 256
 
 
 def compile_variant(variant) -> KernelSet:
@@ -536,6 +541,8 @@ def compile_variant(variant) -> KernelSet:
         registry.inc("hdl.compile.cache_hits")
         return kernels
     kernels = KernelSet(fp, variant)
+    if len(_CACHE) >= _CACHE_LIMIT:
+        _CACHE.clear()
     _CACHE[fp] = kernels
     registry.inc("hdl.compile.count")
     return kernels

@@ -13,7 +13,8 @@ Node kinds
 ----------
 ``Const``    -- a float literal baked at trace time (model constants).
 ``Input``    -- a runtime input: port across value, extra unknown, device
-                parameter, or analysis time.
+                parameter, analysis time, or the placeholder variable of a
+                symbolic derivation (:mod:`repro.hdl.compile.partials`).
 ``Unary``    -- ``neg`` / ``pos``.
 ``Binary``   -- ``+ - * / **`` with the operand order preserved.
 ``Call``     -- an :mod:`repro.ad.functions` elementary function.
@@ -47,8 +48,9 @@ CALL_FUNCTIONS = frozenset({
 #: Valid comparison operators for ``Compare`` nodes.
 COMPARE_OPS = frozenset({"<", "<=", ">", ">=", "==", "!="})
 
-#: Valid ``Input`` kinds.
-INPUT_KINDS = frozenset({"across", "unknown", "param", "time"})
+#: Valid ``Input`` kinds.  ``var`` leaves only live inside a symbolic
+#: derivation; they are substituted away before a variant reaches codegen.
+INPUT_KINDS = frozenset({"across", "unknown", "param", "time", "var"})
 
 
 class Node:

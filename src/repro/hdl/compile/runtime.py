@@ -50,13 +50,20 @@ from ...circuit.mna import BatchStampContext, Integrator, StampContext
 from . import codegen, passes
 from .trace import trace_behavior
 
-__all__ = ["MAX_VARIANTS", "CompileState", "compilation_enabled",
-           "state_for", "try_stamp", "try_record", "batch_ready",
-           "try_stamp_batch"]
+__all__ = ["MAX_VARIANTS", "FALLBACK_PREFIX", "CompileState",
+           "compilation_enabled", "state_for", "try_stamp", "try_record",
+           "batch_ready", "count_per_lane", "try_stamp_batch"]
 
 #: Re-trace budget per (device, mode): after this many traced variants the
 #: mode permanently falls back to the interpreter.
 MAX_VARIANTS = 8
+
+#: Registry counter prefix of compiled -> interpreter fallbacks, one counter
+#: per reason: ``trace_error`` (a behaviour the tracer cannot follow),
+#: ``max_variants`` (re-trace budget exhausted) and ``guarded_per_lane``
+#: (batch lanes stamped one at a time because the compiled variant is
+#: guarded, see :func:`count_per_lane`).
+FALLBACK_PREFIX = "hdl.compile.fallback."
 
 
 def _interp_forced() -> bool:
@@ -483,11 +490,17 @@ def _dep_value(entries, idx: int, dlist):
     return total
 
 
+def _fall_back(state: CompileState, mode: str, reason: str) -> None:
+    """Hand ``mode`` to the interpreter for good, counted by ``reason``."""
+    state.disabled.add(mode)
+    telemetry.registry.inc(f"{FALLBACK_PREFIX}{reason}")
+
+
 def _retrace(device, state: CompileState, mode: str, stamp_ctx) -> None:
     """Trace a fresh variant (or permanently disable the mode)."""
     count = state.trace_count.get(mode, 0)
     if count >= MAX_VARIANTS:
-        state.disabled.add(mode)
+        _fall_back(state, mode, "max_variants")
         return
     state.trace_count[mode] = count + 1
     try:
@@ -497,7 +510,7 @@ def _retrace(device, state: CompileState, mode: str, stamp_ctx) -> None:
     except Exception:
         # Untraceable (float() concretization, foreign duals, exceptions on
         # traced values): the interpreter owns this mode from now on.
-        state.disabled.add(mode)
+        _fall_back(state, mode, "trace_error")
         return
     if set(device.extra_unknowns) - set(kernels.eq_names):
         # Declared unknowns without equations: leave the mode to the
@@ -715,6 +728,15 @@ def _batch_bound(device, state: CompileState):
     if bound.kernels.guarded or bound.kernels.vector() is None:
         return None
     return bound
+
+
+def count_per_lane(device, lanes: int) -> None:
+    """Count ``lanes`` per-lane stamps of ``device`` caused by a guarded
+    compiled variant (the ``guarded_per_lane`` fallback)."""
+    state = getattr(device, "_compile_state", None)
+    variants = None if state is None else state.variants.get("op")
+    if variants and any(bound.kernels.guarded for bound in variants):
+        telemetry.registry.inc(f"{FALLBACK_PREFIX}guarded_per_lane", lanes)
 
 
 def batch_ready(device, options=None) -> bool:

@@ -20,6 +20,9 @@ Design constraints that make the trace trustworthy:
 * Python ``if`` statements on traced comparisons *are* supported for native
   closures: the comparison returns a :class:`TraceBool` whose ``__bool__``
   records a guard.
+* Energy-method partials (``partials_with_sensitivities``) do not run the
+  co-energy on tracers: the ``_repro_partials_`` hook splices its symbolic
+  derivatives (:mod:`.partials`) into the trace instead.
 * Anything the tracer cannot follow (``float()``/``int()`` conversions,
   unsupported operators, foreign AD duals) raises :class:`TraceError` and
   the device permanently falls back to the interpreter.
@@ -259,6 +262,14 @@ class Tracer:
         outcome = _COMPARE_EVAL[op](ca, cb)
         return trace.tracer(trace.builder.select(compare, na, nb),
                             ca if outcome else cb)
+
+    def _repro_partials_(self, func, variables) -> list["Tracer"]:
+        """Hook for :func:`repro.transducers.energy_method.
+        partials_with_sensitivities`: splice the symbolic partials of
+        ``func`` (see :mod:`.partials`) into this trace."""
+        from .partials import trace_partials
+
+        return trace_partials(self._trace, func, variables)
 
     def _repro_where_(self, a, b) -> "Tracer":
         """Hook for ``where`` with a traced (truthy-value) condition."""

@@ -9,8 +9,8 @@ mirroring how the paper uses them:
    the quasi-static examples.
 2. **A nonlinear behavioral device** (:meth:`ConservativeTransducer.build_device`)
    for the circuit simulator, i.e. what the HDL-A model of Listing 1
-   elaborates to.  By default the port contributions are obtained from the
-   co-energy with the energy-method AD machinery; ``closed_form=True``
+   elaborates to.  By default the port contributions are derived from the
+   co-energy symbolically by the energy method; ``closed_form=True``
    switches to the hand-derived Table 3 expressions (both are tested to
    agree).
 3. **A linearized equivalent circuit** via :mod:`repro.transducers.linearized`.
@@ -102,21 +102,14 @@ class ConservativeTransducer(ABC):
         Default implementation differentiates the co-energy; subclasses
         override with the simple closed form ``C(x) v`` / ``L(x) i``.
         """
-        partial_drive, _ = differentiate_coenergy(
-            self.coenergy, float(drive), float(displacement),
-            scales=self.characteristic_scales())
+        partial_drive, _ = differentiate_coenergy(self.coenergy, drive, displacement)
         return partial_drive
 
     def energy_method_force(self, drive, displacement) -> float:
-        """Force obtained from the co-energy by AD (step 3 of the recipe)."""
+        """Force obtained from the co-energy symbolically (step 3 of the recipe)."""
         _, partial_x = differentiate_coenergy(
-            self.coenergy, float(drive), float(displacement),
-            scales=self.characteristic_scales())
+            self.coenergy, float(drive), float(displacement))
         return float(partial_x)
-
-    @abstractmethod
-    def characteristic_scales(self) -> tuple[float, float]:
-        """Characteristic magnitudes of (drive, displacement) for numerics."""
 
     def derivation(self) -> EnergyDerivation:
         """Describe the energy-method derivation of this transducer."""
@@ -138,7 +131,6 @@ class ConservativeTransducer(ABC):
     # ------------------------------------------------------------ behaviour
     def _behavior_voltage_driven(self, closed_form: bool, x0: float):
         """Behaviour callable for capacitive (voltage-driven) transducers."""
-        scales = self.characteristic_scales()
 
         def behavior(ctx: BehaviorContext) -> None:
             voltage = ctx.across("elec")
@@ -149,7 +141,7 @@ class ConservativeTransducer(ABC):
                 force = self.force(voltage, displacement)
             else:
                 charge, force = differentiate_coenergy(
-                    self.coenergy, voltage, displacement, scales=scales)
+                    self.coenergy, voltage, displacement)
             ctx.contribute("elec", ctx.ddt(charge, key="q"))
             ctx.contribute("mech", force)
             ctx.record("x", displacement)
@@ -165,7 +157,6 @@ class ConservativeTransducer(ABC):
         equation ``v - d(flux)/dt = 0`` plays the role of the HDL-A equation
         block.
         """
-        scales = self.characteristic_scales()
 
         def behavior(ctx: BehaviorContext) -> None:
             voltage = ctx.across("elec")
@@ -177,7 +168,7 @@ class ConservativeTransducer(ABC):
                 force = self.force(current, displacement)
             else:
                 flux, force = differentiate_coenergy(
-                    self.coenergy, current, displacement, scales=scales)
+                    self.coenergy, current, displacement)
             ctx.contribute("elec", current)
             ctx.equation("i", voltage - ctx.ddt(flux, key="flux"))
             ctx.contribute("mech", force)
@@ -205,9 +196,12 @@ class ConservativeTransducer(ABC):
             Initial/bias displacement of the free plate [m].
         closed_form:
             Use the hand-derived Table 3 expressions instead of the
-            energy-method AD derivation (the default).  The two agree to the
-            accuracy of the Hessian chain rule and are cross-checked in the
-            test-suite.
+            energy-method derivation (the default).  The default derives
+            the efforts symbolically from :meth:`coenergy`, so its efforts,
+            Newton/AC Jacobians (exact Hessians) and parameter derivatives
+            are exact, and equal the closed forms to rounding; both
+            behaviours compile to kernels and both are exactly
+            dual-seedable for sensitivities.
         """
         ports = [
             Port(name="elec", p=elec_p, n=elec_n, nature=ELECTRICAL),
@@ -237,10 +231,6 @@ class ConservativeTransducer(ABC):
         #: device); the parameter bindings above keep the device's tunable
         #: parameters and the transducer attributes in lock-step.
         device.transducer = self
-        #: The energy-method behaviour differentiates the co-energy with its
-        #: own dual/Hessian machinery and cannot carry foreign parameter
-        #: seeds; only the closed-form behaviour is exactly dual-seedable.
-        device.dual_parameter_safe = bool(closed_form)
         return device
 
     def add_to_circuit(self, circuit: Circuit, name: str, elec_p: str, elec_n: str,
@@ -265,11 +255,11 @@ class ConservativeTransducer(ABC):
         These are the parameters the sensitivity layer can seed with AD
         duals on a built device (physical constants like ``e0``/``mu0`` are
         deliberately excluded).  The behaviour closures read the attributes
-        directly, so a seeded attribute flows through the closed-form
-        evaluation by the chain rule -- which requires the device to be
-        built with ``closed_form=True`` (the energy-method path
-        finite-differences its Hessian on plain floats and cannot carry
-        foreign seeds).
+        directly, so a seeded attribute flows by the chain rule through the
+        closed-form evaluation and through the symbolic co-energy partials
+        of the energy method alike (the energy method traces these
+        attributes as parameter inputs), giving exact parameter derivatives
+        either way.
         """
         return {}
 

@@ -90,9 +90,6 @@ class ElectrodynamicTransducer(ConservativeTransducer):
         """Motional EMF ``Bl * u`` induced by the coil velocity."""
         return self.coupling * velocity
 
-    def characteristic_scales(self) -> tuple[float, float]:
-        return (1.0, self.radius)
-
     def parameters(self) -> dict[str, float]:
         return {
             "N": self.turns,

@@ -78,9 +78,6 @@ class ElectromagneticTransducer(ConservativeTransducer):
         """Quasi-static port voltage ``L(x) di/dt`` as printed in Table 3."""
         return self.inductance(displacement) * didt
 
-    def characteristic_scales(self) -> tuple[float, float]:
-        return (1.0, self.gap)
-
     def parameters(self) -> dict[str, float]:
         return {
             "A": self.area,

@@ -128,9 +128,6 @@ class TransverseElectrostaticTransducer(ConservativeTransducer):
         """Displacement at the pull-in fold, ``d / 3`` (gap-closing orientation)."""
         return self.gap / 3.0
 
-    def characteristic_scales(self) -> tuple[float, float]:
-        return (1.0, self.gap)
-
     def parameters(self) -> dict[str, float]:
         return {
             "A": value_of(self.area),
@@ -195,9 +192,6 @@ class LateralElectrostaticTransducer(ConservativeTransducer):
         """Port voltage ``q d / (eps0 epsr h (l - x))`` (Table 3 voltage row)."""
         return charge * self.gap / (
             self.epsilon_0 * self.epsilon_r * self.depth * (self.length - displacement))
-
-    def characteristic_scales(self) -> tuple[float, float]:
-        return (1.0, self.length)
 
     def parameters(self) -> dict[str, float]:
         return {

@@ -1,4 +1,4 @@
-"""The paper's energy-method recipe, mechanised with automatic differentiation.
+"""The paper's energy-method recipe, mechanised with symbolic differentiation.
 
 The paper derives behavioral models of conservative transducers in four
 steps:
@@ -13,19 +13,27 @@ steps:
 
 Steps 2-3 are implemented by :func:`derive_efforts` /
 :func:`differentiate_coenergy`: the user supplies the (co-)energy as a plain
-Python function and the partial derivatives are evaluated with forward-mode
-AD -- no hand-derived expressions required.  The helpers return the efforts
-as *circuit-level dual numbers*: when the input state variables carry
-sensitivities with respect to the MNA unknowns (because they were produced by
-:class:`~repro.circuit.devices.behavioral.BehaviorContext`), the chain rule
+Python function and its partial derivatives are derived *symbolically* --
+no hand-derived expressions required.  The function is traced once into the
+behavioral-model IR (:mod:`repro.hdl.compile.partials`) with the owner's
+tunable geometry as parameter leaves, and differentiated by the IR's
+``diff`` pass.  The efforts are therefore exact expressions, and so are
+their own derivatives:
 
-``d(effort_k)/d(unknown) = sum_j Hessian[k, j] * d(state_j)/d(unknown)``
+* called with :class:`~repro.ad.Dual` inputs (a
+  :class:`~repro.circuit.devices.behavioral.BehaviorContext` seeding the MNA
+  unknowns, or the sensitivity layer seeding the geometry), the partials
+  are evaluated on the duals and carry the chain rule through the exact
+  second derivatives, ``d(effort_k)/d(unknown) = sum_j H[k, j] *
+  d(state_j)/d(unknown)``, and exact ``d(effort_k)/d(parameter)``;
+* called while a behavioral device is traced for compilation, the partial
+  expressions are spliced into the device's kernel, whose generated
+  Jacobian and ``dF/dp`` code differentiates them once more.
 
-is applied so the Newton and AC linearizations of the resulting behavioral
-device remain consistent.  The gradient is exact (AD); the Hessian is
-obtained by central differences of the AD gradient with per-variable
-characteristic scales, which is far better conditioned than double finite
-differencing.
+Both paths evaluate the same expressions with the same arithmetic, so
+compiled and interpreted devices agree bit for bit, and the Newton, AC and
+sensitivity linearizations agree with the hand-derived Table 3 forms to
+rounding.
 """
 
 from __future__ import annotations
@@ -35,7 +43,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..ad import Dual, gradient
 from ..errors import TransducerError
 
 __all__ = [
@@ -43,73 +50,39 @@ __all__ = [
     "partials_with_sensitivities",
     "differentiate_coenergy",
     "derive_efforts",
-    "hessian_scaled",
 ]
 
 
-def hessian_scaled(func: Callable[..., object], values: Sequence[float],
-                   scales: Sequence[float] | None = None,
-                   relative_step: float = 1e-4) -> np.ndarray:
-    """Hessian of ``func`` at ``values`` by central differences of the AD gradient.
-
-    ``scales`` provides the characteristic magnitude of each variable so the
-    finite-difference step stays meaningful even when the operating value is
-    zero (e.g. a displacement of 0 m around a 150 um gap).
-    """
-    values = np.asarray(list(values), dtype=float)
-    n = values.size
-    if scales is None:
-        scales = np.maximum(np.abs(values), 1.0)
-    else:
-        scales = np.asarray(list(scales), dtype=float)
-        if scales.shape != values.shape:
-            raise TransducerError("scales must have one entry per variable")
-        if np.any(scales <= 0.0):
-            raise TransducerError("characteristic scales must be positive")
-    hess = np.zeros((n, n))
-    for j in range(n):
-        step = relative_step * max(abs(values[j]), scales[j])
-        forward = values.copy()
-        backward = values.copy()
-        forward[j] += step
-        backward[j] -= step
-        grad_fwd = gradient(func, forward)
-        grad_bwd = gradient(func, backward)
-        hess[:, j] = (grad_fwd - grad_bwd) / (2.0 * step)
-    return 0.5 * (hess + hess.T)
-
-
 def partials_with_sensitivities(func: Callable[..., object],
-                                variables: Sequence[object],
-                                scales: Sequence[float] | None = None) -> list[object]:
+                                variables: Sequence[object]) -> list[object]:
     """Partial derivatives of ``func`` w.r.t. each variable, chain-rule aware.
 
     ``variables`` may mix plain floats and :class:`~repro.ad.Dual` values.
-    The k-th returned element is ``d func / d variable_k`` evaluated at the
-    value parts; when any input is a dual, the result is a dual whose
-    derivative part is ``sum_j H[k, j] * variables[j].deriv`` (chain rule
-    through the second derivatives of ``func``).
+    The k-th returned element is the exact ``d func / d variable_k``; it is
+    a dual when it depends on a dual input (or on a dual-seeded parameter of
+    ``func``'s owner), its derivative part being the exact chain rule
+    through the second derivatives of ``func``, and a plain float otherwise.
+    Traced inputs (behavioral-model compilation) splice the symbolic
+    partials into the trace instead, through their ``_repro_partials_``
+    hook.
+
+    ``func`` must be written with plain arithmetic and
+    :mod:`repro.ad.functions`.  When it is a bound method of an object with
+    ``parameter_attributes()`` (every conservative transducer), those
+    attributes are the derivation's parameters; any other value it reads is
+    a constant of the derivation (see :mod:`repro.hdl.compile.partials`).
     """
-    values = [float(getattr(v, "value", v)) for v in variables]
-    grad = gradient(func, values)
-    dual_inputs = [v for v in variables if isinstance(v, Dual)]
-    if not dual_inputs:
-        return [float(g) for g in grad]
-    hess = hessian_scaled(func, values, scales=scales)
-    template = dual_inputs[0].deriv
-    outputs: list[object] = []
-    for k in range(len(values)):
-        deriv = np.zeros_like(template)
-        for j, variable in enumerate(variables):
-            if isinstance(variable, Dual) and hess[k, j] != 0.0:
-                deriv = deriv + hess[k, j] * variable.deriv
-        outputs.append(Dual(float(grad[k]), deriv))
-    return outputs
+    for variable in variables:
+        hook = getattr(variable, "_repro_partials_", None)
+        if hook is not None:
+            return hook(func, variables)
+    from ..hdl.compile.partials import partials
+
+    return partials(func, variables)
 
 
 def differentiate_coenergy(coenergy: Callable[[object, object], object],
-                           drive: object, displacement: object,
-                           scales: tuple[float, float] | None = None) -> tuple[object, object]:
+                           drive: object, displacement: object) -> tuple[object, object]:
     """Return ``(d W*/d drive, d W*/d x)`` for a two-port co-energy function.
 
     For a voltage-driven (capacitive) transducer the first partial is the
@@ -117,7 +90,7 @@ def differentiate_coenergy(coenergy: Callable[[object, object], object],
     a current-driven (inductive) transducer the first partial is the flux
     linkage.  This is exactly the relation behind the paper's Table 3.
     """
-    results = partials_with_sensitivities(coenergy, [drive, displacement], scales=scales)
+    results = partials_with_sensitivities(coenergy, [drive, displacement])
     return results[0], results[1]
 
 
@@ -147,8 +120,7 @@ class EnergyDerivation:
         return f"{self.energy_description}: {pairs}"
 
 
-def derive_efforts(energy: Callable[..., object], states: Sequence[float],
-                   scales: Sequence[float] | None = None) -> np.ndarray:
+def derive_efforts(energy: Callable[..., object], states: Sequence[float]) -> np.ndarray:
     """Numerically evaluate all port efforts from an internal-energy function.
 
     This is the plain-number variant of :func:`partials_with_sensitivities`
@@ -157,4 +129,5 @@ def derive_efforts(energy: Callable[..., object], states: Sequence[float],
     """
     if len(states) == 0:
         raise TransducerError("derive_efforts needs at least one state variable")
-    return gradient(energy, [float(s) for s in states])
+    return np.array(partials_with_sensitivities(
+        energy, [float(s) for s in states]), dtype=float)

@@ -134,6 +134,9 @@ class TestHdlCompileCounters:
         assert stats["hdl_compile_cache_hits"] >= 2
         summary = result.solver_summary()
         assert summary["hdl_compile_cache_hit_rate"] > 0.0
+        # Every compiled -> interpreter fallback reason rides the summary.
+        for reason in ("trace_error", "max_variants", "guarded_per_lane"):
+            assert summary[f"hdl_fallback_{reason}"] == 0
 
     def test_non_behavioral_campaign_reports_zero_rate(self):
         result = CampaignRunner("serial").run(self.SPEC, cached_evaluator)

@@ -13,15 +13,17 @@ import numpy as np
 import pytest
 
 from repro.ad import exp
-from repro.circuit import (Circuit, CircuitSensitivityEvaluator,
-                           OperatingPointAnalysis, SimulationOptions)
+from repro.circuit import (ACAnalysis, Circuit, CircuitSensitivityEvaluator,
+                           OperatingPointAnalysis, SimulationOptions,
+                           TransientAnalysis)
 from repro.circuit.analysis.dcsweep import DCSweepAnalysis
 from repro.circuit.analysis.sensitivity import resolve_parameters
 from repro.circuit.devices.behavioral import BehavioralDevice, Port
-from repro.circuit.devices.mechanical import Damper
+from repro.circuit.devices.mechanical import Damper, Mass, Spring
 from repro.circuit.devices.nonlinear import Diode
 from repro.circuit.devices.passive import Resistor
 from repro.circuit.devices.sources import VoltageSource
+from repro.circuit.waveforms import PieceWiseLinear
 from repro.errors import SensitivityError
 from repro.natures import ELECTRICAL
 from repro.transducers import TransverseElectrostaticTransducer
@@ -168,11 +170,99 @@ class TestBehavioralParameterSeeding:
             fd = (solve(*up) - solve(*down)) / (2.0 * step)
             assert result.matrix[0, k] == pytest.approx(fd, rel=1e-5)
 
-    def test_energy_method_transducer_gets_helpful_error(self):
-        circuit = build_acceptance_circuit(closed_form=False)
-        analysis = OperatingPointAnalysis(circuit, OPTIONS)
-        with pytest.raises(SensitivityError, match="closed_form=True"):
-            analysis.sensitivities(["XT.A"], ["v(nm)"])
+    @pytest.mark.parametrize("kind", ["op", "ac", "tran"])
+    def test_energy_method_exact(self, kind):
+        """Energy-method devices are exactly dual-seedable: their
+        sensitivities equal the Table 3 closed-form ones and central FD."""
+        build, outputs, sensitivities, outputs_of = ENERGY_METHOD_CASES[kind]
+        energy = sensitivities(build(False), outputs)
+        closed = sensitivities(build(True), outputs)
+        scale = np.abs(closed).max(axis=-1, keepdims=True)
+        assert np.all(scale > 0.0)
+        # Op and transient dF/dp are exact in both models, so they agree to
+        # rounding; the AC chain differences the assembled small-signal
+        # matrices (relative step 1e-6), which magnifies last-bit model
+        # differences by ~1e6.
+        agreement = 1e-9 if kind == "ac" else 1e-12
+        assert np.max(np.abs(energy - closed) / scale) <= agreement
+        for k, param in enumerate(ENERGY_METHOD_PARAMS):
+            finals = []
+            for sign in (1.0, -1.0):
+                circuit = build(False)
+                ref, = resolve_parameters(circuit, [param])
+                step = 1e-6 * abs(ref.value)
+                ref.device.set_parameter(ref.parameter, ref.value + sign * step)
+                finals.append(outputs_of(circuit, outputs))
+            fd = (finals[0] - finals[1]) / (2.0 * step)
+            assert np.max(np.abs(energy[..., k] - fd) / scale[..., 0]) <= 1e-5
+
+
+#: Geometry parameters of the energy-method cross-check below.
+ENERGY_METHOD_PARAMS = ("XT.A", "XT.d")
+AC_FREQUENCIES = [1e3, 1.1e4, 4e4]
+#: Fixed steps (loose LTE tolerance) keep the accepted step sequence of the
+#: transient independent of the FD perturbations.
+FIXED_STEP_OPTIONS = SimulationOptions(reltol=1e-9, abstol=1e-15, vntol=1e-12,
+                                       trtol=1e9)
+
+
+def build_dynamic_circuit(closed_form: bool) -> Circuit:
+    """Ramp-driven transducer below pull-in on a spring-mass-damper load."""
+    circuit = Circuit()
+    n1 = circuit.electrical_node("n1")
+    n2 = circuit.electrical_node("n2")
+    ground = circuit.ground
+    circuit.add(VoltageSource("V1", n1, ground,
+                              PieceWiseLinear(((0.0, 2.0), (1e-5, 4.0))),
+                              ac=1.0))
+    circuit.add(Resistor("R1", n1, n2, 1e4))
+    nm = circuit.mechanical_node("nm")
+    transducer = TransverseElectrostaticTransducer(
+        area=4e-8, gap=2e-6, gap_orientation="closing")
+    transducer.add_to_circuit(circuit, "XT", "n2", "0", "nm", "0",
+                              closed_form=closed_form)
+    circuit.add(Mass("M1", nm, ground, 1e-9))
+    circuit.add(Spring("K1", nm, ground, 5.0))
+    circuit.add(Damper("B1", nm, ground, 2e-5))
+    return circuit
+
+
+def _transient(circuit: Circuit) -> TransientAnalysis:
+    return TransientAnalysis(circuit, t_stop=1.5e-5, t_step=3e-7,
+                             max_step=3e-7, options=FIXED_STEP_OPTIONS)
+
+
+def _op_outputs(circuit, outputs):
+    result = OperatingPointAnalysis(circuit, OPTIONS).run()
+    return np.array([result[name] for name in outputs])
+
+
+def _ac_outputs(circuit, outputs):
+    result = ACAnalysis(circuit, AC_FREQUENCIES, OPTIONS).run()
+    return np.array([[result[name][f] for name in outputs]
+                     for f in range(len(AC_FREQUENCIES))])
+
+
+def _tran_outputs(circuit, outputs):
+    result = _transient(circuit).run()
+    return np.array([result.final(name) for name in outputs])
+
+
+#: kind -> (builder, outputs, sensitivity matrix, FD output evaluation).
+ENERGY_METHOD_CASES = {
+    "op": (build_acceptance_circuit, ("v(nm)",),
+           lambda c, o: OperatingPointAnalysis(c, OPTIONS).sensitivities(
+               ENERGY_METHOD_PARAMS, o).matrix,
+           _op_outputs),
+    "ac": (build_dynamic_circuit, ("v(nm)", "v(n2)"),
+           lambda c, o: ACAnalysis(c, AC_FREQUENCIES, OPTIONS).sensitivities(
+               ENERGY_METHOD_PARAMS, o).matrix,
+           _ac_outputs),
+    "tran": (build_dynamic_circuit, ("i(K1)", "v(nm)"),
+             lambda c, o: _transient(c).sensitivities(
+                 ENERGY_METHOD_PARAMS, o).matrix,
+             _tran_outputs),
+}
 
 
 class TestParameterResolution:

@@ -12,6 +12,9 @@ forensics/health-check instrumentation paths.
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,10 +28,18 @@ from repro.circuit import (
     TransientAnalysis,
 )
 from repro.circuit.devices.behavioral import BehavioralDevice, Port
+from repro.circuit.analysis.sensitivity import (
+    parameter_residual_derivatives, resolve_parameters)
 from repro.circuit.mna import MNASystem
 from repro.hdl import compile as hdl_compile
-from repro.hdl.compile import ir, passes
+from repro.hdl.compile import codegen, ir, passes, runtime
 from repro.natures import ELECTRICAL
+from repro.system.microsystem import PAPER_PARAMETERS, build_behavioral_system
+from repro.telemetry import registry
+from repro.transducers import (ElectrodynamicTransducer,
+                               ElectromagneticTransducer,
+                               LateralElectrostaticTransducer,
+                               TransverseElectrostaticTransducer)
 
 COMPILED = SimulationOptions(behavioral_compile=True)
 INTERP = SimulationOptions(behavioral_compile=False)
@@ -287,6 +298,222 @@ class TestBatchCompiled:
         circuit = diode_circuit()
         assert circuit["DB"].batch_safe_for(COMPILED) is True
         assert circuit["DB"].batch_safe_for(INTERP) is False
+
+
+# ------------------------------------------------- energy-method transducers
+def _transverse():
+    return TransverseElectrostaticTransducer(area=4e-8, gap=2e-6,
+                                             gap_orientation="closing")
+
+
+def _lateral():
+    return LateralElectrostaticTransducer(depth=20e-6, length=100e-6,
+                                          gap=2e-6)
+
+
+def _electromagnetic():
+    return ElectromagneticTransducer(area=1e-6, turns=100.0, gap=1e-4)
+
+
+def _electrodynamic():
+    return ElectrodynamicTransducer(turns=50.0, radius=5e-3, b_field=0.5)
+
+
+#: name -> (transducer factory, drive amplitude, source resistance, tunable
+#: parameters).  Each device is built with the default (energy-method)
+#: behaviour.
+TRANSDUCERS = {
+    "transverse": (_transverse, 3.0, 1e4, ("A", "d", "er")),
+    "lateral": (_lateral, 3.0, 1e4, ("h", "l", "d", "er")),
+    "electromagnetic": (_electromagnetic, 1.0, 10.0, ("A", "N", "d")),
+    "electrodynamic": (_electrodynamic, 1.0, 10.0, ("N", "r", "B")),
+}
+
+
+def transducer_circuit(kind: str, closed_form: bool = False) -> Circuit:
+    """Biased, step-driven transducer on a spring-mass-damper load."""
+    factory, amplitude, resistance, _ = TRANSDUCERS[kind]
+    circuit = Circuit()
+    circuit.voltage_source("V1", "in", "0",
+                           Step(0.5 * amplitude, amplitude, ramp=2e-6), ac=1.0)
+    circuit.resistor("R1", "in", "a", resistance)
+    factory().add_to_circuit(circuit, "XT", "a", "0", "m", "0",
+                             closed_form=closed_form)
+    circuit.mass("M1", "m", 1e-9)
+    circuit.spring("K1", "m", "0", 5.0)
+    circuit.damper("B1", "m", "0", 2e-5)
+    return circuit
+
+
+@pytest.mark.parametrize("kind", sorted(TRANSDUCERS))
+class TestEnergyMethodTransducers:
+    """The energy-method devices compile, bit-identically to the interpreter."""
+
+    def test_operating_point(self, kind):
+        circuit = transducer_circuit(kind)
+        compiled = OperatingPointAnalysis(circuit, COMPILED).run()
+        state = hdl_compile.state_for(circuit["XT"])
+        assert state.variants.get("op") and "op" not in state.disabled
+        interp = OperatingPointAnalysis(transducer_circuit(kind), INTERP).run()
+        assert np.array_equal(compiled.raw, interp.raw)
+        assert compiled.iterations == interp.iterations
+
+    def test_ac_sweep(self, kind):
+        def run(options):
+            return ACAnalysis(transducer_circuit(kind), [1e2, 1.1e4, 4e4],
+                              options).run()
+
+        compiled, interp = run(COMPILED), run(INTERP)
+        for name in ("v(a)", "v(m)"):
+            assert np.array_equal(np.asarray(compiled[name]),
+                                  np.asarray(interp[name])), name
+
+    def test_ac_matches_table3_closed_form(self, kind):
+        # The AC matrix holds the full co-energy Hessian (charge and force
+        # derivatives in drive and displacement): exact, so the small-signal
+        # response equals the hand-derived model's to rounding.
+        def run(closed_form):
+            return ACAnalysis(transducer_circuit(kind, closed_form),
+                              [1e2, 1.1e4, 4e4], COMPILED).run()
+
+        energy, closed = run(False), run(True)
+        for name in ("v(a)", "v(m)"):
+            np.testing.assert_allclose(np.asarray(energy[name]),
+                                       np.asarray(closed[name]),
+                                       rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("reuse", ["off", "chord"])
+    def test_transient(self, kind, reuse):
+        circuits = []
+
+        def build():
+            circuits.append(transducer_circuit(kind))
+            return circuits[-1]
+
+        compiled, interp = _transient_pair(build, t_stop=2e-5, t_step=5e-7,
+                                           jacobian_reuse=reuse)
+        assert_transients_identical(compiled, interp)
+        assert hdl_compile.state_for(circuits[0]["XT"]).variants.get("tran")
+
+    def test_dfdp_kernel_matches_seeded_interpreter(self, kind):
+        circuit = transducer_circuit(kind)
+        op = OperatingPointAnalysis(circuit, COMPILED).run()
+        system = MNASystem(circuit)
+        ctx = system.assemble(op.raw, "op", 0.0, None, COMPILED, 1.0,
+                              want_jacobian=False)
+        device = circuit["XT"]
+        grads = hdl_compile.parameter_gradients(device, ctx)
+        assert grads is not None
+        params = TRANSDUCERS[kind][3]
+        refs = resolve_parameters(circuit, [f"XT.{p}" for p in params])
+        dres = parameter_residual_derivatives(system, op.raw, refs, "op",
+                                              0.0, None, INTERP)
+        rows = {"elec": system.index_of(device.port("elec").p),
+                "mech": system.index_of(device.port("mech").p)}
+        for unknown in device.extra_unknowns:
+            rows[unknown] = system.aux_index(device, unknown)
+        for output, row in rows.items():
+            compiled = np.array([grads[output].get(p, 0.0) for p in params])
+            assert np.array_equal(compiled, dres[row]), output
+        if kind != "electrodynamic":
+            # (The gyrator closure captures its coupling at build time.)
+            assert np.any(dres[rows["mech"]] != 0.0)
+
+
+def _fallbacks(reason: str) -> float:
+    return registry.counter_value(f"{runtime.FALLBACK_PREFIX}{reason}")
+
+
+def _monte_carlo_example():
+    """The ``examples/monte_carlo_pull_in.py`` module (not a package)."""
+    path = Path(__file__).resolve().parents[2] / "examples" \
+        / "monte_carlo_pull_in.py"
+    spec = importlib.util.spec_from_file_location("monte_carlo_pull_in", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestFallbackCounters:
+    """Losing the compiled path is counted by reason, never silent."""
+
+    def test_figure5_system_has_no_trace_errors(self):
+        before = _fallbacks("trace_error")
+        circuit = build_behavioral_system(
+            PAPER_PARAMETERS, Step(0.0, 10.0, ramp=1e-4))
+        result = TransientAnalysis(circuit, t_stop=2e-3, t_step=2e-4,
+                                   options=COMPILED).run()
+        assert len(result.time) > 2
+        assert _fallbacks("trace_error") == before
+        state = hdl_compile.state_for(circuit["XDCR"])
+        assert state.variants.get("op") and state.variants.get("tran")
+        assert not state.disabled
+
+    def test_monte_carlo_actuator_has_no_trace_errors(self):
+        from repro.circuit.analysis.batch import (ParameterColumns,
+                                                  batched_operating_points)
+
+        example = _monte_carlo_example()
+        circuit = example.build_actuator(
+            {"gap": example.GAP_NOM, "thickness": example.THICKNESS_NOM})
+        circuit["VS"].set_parameter("dc", 2.0)
+        gaps = example.GAP_NOM * np.array([0.9, 1.0, 1.1])
+        before = {reason: _fallbacks(reason)
+                  for reason in ("trace_error", "guarded_per_lane")}
+        columns = ParameterColumns(circuit, [("XDCR", "d", gaps)])
+        with columns:
+            results = batched_operating_points(circuit, COMPILED, columns)
+        assert all(op is not None for op in results)
+        assert _fallbacks("trace_error") == before["trace_error"]
+        # The contact guard keeps the transducer on (compiled) per-lane
+        # stamps, and every such lane is counted.
+        assert hdl_compile.state_for(circuit["XDCR"]).variants.get("op")
+        assert _fallbacks("guarded_per_lane") >= \
+            before["guarded_per_lane"] + len(gaps)
+
+    def test_untraceable_behavior_shows_in_profile(self):
+        def behavior(ctx):
+            ctx.contribute("e", float(ctx.across("e")) / 1e3)
+
+        circuit = Circuit()
+        circuit.voltage_source("V1", "a", "0", 1.0)
+        circuit.add(BehavioralDevice(
+            "XF", [Port("e", circuit.electrical_node("a"), circuit.ground,
+                        ELECTRICAL)], behavior))
+        options = SimulationOptions(telemetry="summary")
+        result = OperatingPointAnalysis(circuit, options).run()
+        table = result.telemetry.profile_summary()
+        line = next(row for row in table.splitlines()
+                    if row.startswith("hdl.compile.fallback.trace_error"))
+        assert float(line.split()[-1]) >= 1
+
+    def test_max_variants_budget_is_counted(self, monkeypatch):
+        monkeypatch.setattr(runtime, "MAX_VARIANTS", 1)
+        before = _fallbacks("max_variants")
+        compiled, interp = _transient_pair(guarded_circuit, t_stop=4e-3)
+        assert_transients_identical(compiled, interp)
+        assert _fallbacks("max_variants") > before
+
+
+class TestKernelCacheBound:
+    def test_cache_never_exceeds_limit(self, monkeypatch):
+        monkeypatch.setattr(codegen, "_CACHE_LIMIT", 3)
+        hdl_compile.clear_cache()
+        for k in range(8):
+            circuit = Circuit()
+            circuit.voltage_source("V1", "a", "0", 1.0)
+            # A distinct constant per device -> a distinct fingerprint.
+            scale = 1.0 + k
+
+            def behavior(ctx, scale=scale):
+                ctx.contribute("e", scale * ctx.across("e"))
+
+            device = circuit.add(BehavioralDevice(
+                "XK", [Port("e", circuit.electrical_node("a"),
+                            circuit.ground, ELECTRICAL)], behavior))
+            hdl_compile.compile_device(device)
+            assert hdl_compile.cache_info()["kernels"] <= 3
+        hdl_compile.clear_cache()
 
 
 class TestIRPasses:
