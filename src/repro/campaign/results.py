@@ -79,11 +79,12 @@ class CampaignResult:
     param_names:
         Column order of the swept parameters (defaults to first-row order).
     solver_stats:
-        Aggregated :mod:`repro.linalg.metrics` counter deltas of the work
-        actually dispatched for this campaign (factorizations,
-        factorization-cache hits/misses/evictions, sparsity-pattern
-        rebuilds/reuses, transposed solves) -- summed over serial execution
-        and every pool worker chunk.  Empty for derived results
+        Aggregated registry counter deltas of the work actually dispatched
+        for this campaign (factorizations, factorization-cache
+        hits/misses/evictions, sparsity-pattern rebuilds/reuses, transposed
+        solves, behavioral-kernel compiles/cache hits/fallbacks; see
+        :data:`repro.campaign.runner.SOLVER_COUNTERS`) -- summed over serial
+        execution and every pool worker chunk.  Empty for derived results
         (``filter``/``group_by``), whose work already appears in the
         parent's counters.
     telemetry:

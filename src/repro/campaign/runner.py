@@ -47,7 +47,6 @@ from ..circuit.analysis.op import OperatingPointAnalysis
 from ..circuit.analysis.options import SimulationOptions
 from ..circuit.analysis.transient import TransientAnalysis
 from ..errors import CampaignError, DeviceError, NetlistError
-from ..linalg import metrics as linalg_metrics
 from .cache import ResultCache, canonicalize, scenario_key
 from .results import CampaignResult, CampaignRow
 from .spec import CampaignSpec
@@ -168,27 +167,38 @@ def _evaluate_batch_items(evaluator, items: Sequence[tuple[int, dict]]
     return results
 
 
-#: Behavioral-compiler registry counters shipped alongside the linalg cache
-#: counters in every chunk's solver-stats delta (``solver_stats`` key ->
-#: :mod:`repro.telemetry.registry` counter name): kernel compiles, cache
-#: hits and the compiled -> interpreter fallbacks by reason.  They ride the
-#: same always-on delta/merge path, so kernel-cache efficacy inside pool
-#: workers is visible on the aggregated :class:`~repro.campaign.results
-#: .CampaignResult` even with telemetry off.
-_HDL_COUNTERS = (("hdl_compiles", "hdl.compile.count"),
-                 ("hdl_compile_cache_hits", "hdl.compile.cache_hits"),
-                 ("hdl_fallback_trace_error",
-                  "hdl.compile.fallback.trace_error"),
-                 ("hdl_fallback_max_variants",
-                  "hdl.compile.fallback.max_variants"),
-                 ("hdl_fallback_guarded_per_lane",
-                  "hdl.compile.fallback.guarded_per_lane"))
+#: Every counter a campaign chunk ships back, as ``solver_stats`` key ->
+#: :mod:`repro.telemetry.registry` counter name: the linalg cache counters,
+#: then the behavioral-compiler kernel compiles, cache hits and compiled ->
+#: interpreter fallbacks by reason.  Chunks snapshot and diff the registry
+#: through this one table, so cache efficacy inside pool workers is visible
+#: on the aggregated :class:`~repro.campaign.results.CampaignResult` even
+#: with telemetry off.
+SOLVER_COUNTERS = (
+    ("factorizations", "linalg.factorizations"),
+    ("factorization_cache_hits", "linalg.factorization_cache_hits"),
+    ("factorization_cache_misses", "linalg.factorization_cache_misses"),
+    ("factorization_cache_evictions", "linalg.factorization_cache_evictions"),
+    ("structure_rebuilds", "linalg.structure_rebuilds"),
+    ("structure_reuses", "linalg.structure_reuses"),
+    ("transpose_solves", "linalg.transpose_solves"),
+    ("hdl_compiles", "hdl.compile.count"),
+    ("hdl_compile_cache_hits", "hdl.compile.cache_hits"),
+    ("hdl_fallback_trace_error", "hdl.compile.fallback.trace_error"),
+    ("hdl_fallback_max_variants", "hdl.compile.fallback.max_variants"),
+    ("hdl_fallback_guarded_per_lane", "hdl.compile.fallback.guarded_per_lane"),
+)
+
+
+def _solver_counters() -> dict[str, int]:
+    """The current value of every :data:`SOLVER_COUNTERS` entry."""
+    return {key: int(telemetry.registry.counter_value(name))
+            for key, name in SOLVER_COUNTERS}
 
 
 def _merge_solver_stats(total: dict[str, int], delta: dict[str, int]) -> None:
-    """Fold one chunk's counter delta (linalg + hdl) into the running total."""
-    linalg_metrics.merge_counters(total, delta)
-    for key, _ in _HDL_COUNTERS:
+    """Fold one chunk's counter delta into the running total."""
+    for key, _ in SOLVER_COUNTERS:
         total[key] = total.get(key, 0) + int(delta.get(key, 0))
 
 
@@ -204,9 +214,9 @@ def _evaluate_chunk(task: tuple, on_point=None
     of point by point.
 
     Besides the per-point results the chunk ships the *delta* of the
-    worker's process-wide :mod:`repro.linalg.metrics` counters back to the
-    parent, so factorization/pattern-cache efficacy inside pool workers
-    becomes visible on the aggregated :class:`CampaignResult`.  With a
+    worker's process-wide :data:`SOLVER_COUNTERS` back to the parent, so
+    factorization/pattern-cache and kernel-cache efficacy inside pool
+    workers becomes visible on the aggregated :class:`CampaignResult`.  With a
     telemetry mode requested, the chunk additionally runs inside an
     aggregate-only :func:`repro.telemetry.session` (span trees folded into
     per-name totals -- bounded memory for arbitrarily long campaigns) and
@@ -221,9 +231,7 @@ def _evaluate_chunk(task: tuple, on_point=None
     evaluator, items, telemetry_mode, *rest = task
     batch_size = rest[0] if rest else None
     t0 = time.perf_counter()
-    before = linalg_metrics.snapshot()
-    hdl_before = {key: telemetry.registry.counter_value(name)
-                  for key, name in _HDL_COUNTERS}
+    before = _solver_counters()
 
     def run_items():
         results = []
@@ -249,10 +257,8 @@ def _evaluate_chunk(task: tuple, on_point=None
         payload = sess.report.aggregate_payload()
     heartbeat = {"pid": os.getpid(), "points": len(items),
                  "wall_s": time.perf_counter() - t0}
-    stats_delta = linalg_metrics.counter_delta(before)
-    stats_delta.update(
-        {key: int(telemetry.registry.counter_value(name) - hdl_before[key])
-         for key, name in _HDL_COUNTERS})
+    after = _solver_counters()
+    stats_delta = {key: after[key] - before[key] for key in after}
     return results, stats_delta, payload, heartbeat
 
 
@@ -440,8 +446,7 @@ class CampaignRunner:
     def _dispatch(self, evaluator, pending: Sequence[tuple[int, dict]]
                   ) -> tuple[list[tuple[int, dict, str | None, dict | None]],
                              dict[str, int], dict | None]:
-        solver_stats = {name: 0 for name in linalg_metrics.COUNTER_NAMES}
-        solver_stats.update({key: 0 for key, _ in _HDL_COUNTERS})
+        solver_stats = {key: 0 for key, _ in SOLVER_COUNTERS}
         if not pending:
             return [], solver_stats, None
         backend = self._resolve_backend(evaluator, len(pending))

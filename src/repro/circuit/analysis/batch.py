@@ -1,8 +1,9 @@
-"""Batched DC-class analyses: B campaign points through one Newton loop.
+"""Batched DC-class analyses: B campaign points through one Newton core.
 
 A campaign evaluates the *same* circuit at B parameter points.  The drivers
-here stack those points along a lane axis and run one vectorized Newton
-iteration over the block:
+here stack those points along a lane axis and run the Newton core of
+:mod:`repro.circuit.analysis.op` -- the very iteration serial analyses use
+-- over ``(B, n)`` state.  :func:`batched_newton` is its B-lane face:
 
 * devices whose stamps broadcast (``Device.batch_safe``) are stamped once
   with ``(B,)`` parameter/state arrays,
@@ -10,7 +11,9 @@ iteration over the block:
   lane through a genuine serial :class:`~repro.circuit.mna.StampContext`
   aliasing the batch arrays,
 * the linear stage factors all B Jacobians in one
-  :func:`repro.linalg.batched_factorize` call,
+  :func:`repro.linalg.batched_factorize` call, behind the same
+  :class:`~repro.circuit.analysis.op.NewtonWorkspace` reuse, chord and stall
+  policy as the serial face,
 * convergence is tested per lane with the exact serial criterion; converged
   lanes freeze while stragglers iterate.
 
@@ -24,7 +27,6 @@ dies because one point does.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,7 +38,7 @@ from ..devices.sources import CurrentSource, VoltageSource
 from ..mna import BatchStampContext, MNASystem
 from ..netlist import Circuit
 from ..waveforms import DC
-from .op import collect_outputs
+from .op import NewtonFace, NewtonWorkspace, collect_outputs, newton_core
 from .options import SimulationOptions
 from .results import DCSweepResult, OperatingPoint
 
@@ -118,11 +120,9 @@ class ParameterColumns:
 def batch_supported(options: SimulationOptions) -> bool:
     """Whether the batched drivers can honor these options.
 
-    All ``jacobian_reuse`` policies are supported -- ``"chord"`` holds the
-    batched factorization across iterations (and solves) with residual-only
-    assemblies, mirroring the serial chord-Newton contract lane-wise.  Only
-    the CG backend has no batched counterpart and falls back to the serial
-    path.
+    Every ``jacobian_reuse`` policy is supported (the batch runs the serial
+    Newton core).  Only the CG backend has no batched counterpart and falls
+    back to the serial path.
     """
     return options.solver_backend() != "cg"
 
@@ -162,154 +162,100 @@ def assemble_batch(system: MNASystem, x: np.ndarray, analysis: str,
     return ctx
 
 
-def _same_batch_matrix(stored, matrix) -> bool:
-    if stored is None:
-        return False
-    if isinstance(matrix, np.ndarray):
-        return isinstance(stored, np.ndarray) and np.array_equal(stored, matrix)
-    if isinstance(stored, np.ndarray) or len(stored) != len(matrix):
-        return False
-    return all(lane_a.data.size == lane_b.data.size
-               and np.array_equal(lane_a.data, lane_b.data)
-               for lane_a, lane_b in zip(stored, matrix))
+class _Lanes(NewtonFace):
+    """The B-lane face: ``(B, n)`` state, lane masks, failing lanes retire."""
 
+    solve_metric = "batch.solve_s"
 
-class BatchWorkspace:
-    """Linear-stage carry-over between batched Newton calls (sweep points).
+    def __init__(self, system: MNASystem, analysis: str,
+                 options: SimulationOptions, columns: ParameterColumns,
+                 source_scale: float, workspace: NewtonWorkspace,
+                 batch: int) -> None:
+        super().__init__(system, analysis, 0.0, None, options, source_scale,
+                         workspace)
+        self.columns = columns
+        self.backend = "superlu" if options.use_sparse(system.size) \
+            else "dense"
+        self.alive = np.ones(batch, dtype=bool)
+        self.converged = np.zeros(batch, dtype=bool)
+        self.iterations = np.zeros(batch, dtype=int)
 
-    Mirrors the serial ``jacobian_reuse="auto"`` behaviour: when the whole
-    assembled batch matches the previously factored one exactly (linear
-    circuits between sweep points, final iterations of a converged batch),
-    the factorization is reused instead of redone.
-    """
+    def _retire(self, healthy: np.ndarray) -> bool:
+        """Retire the unfinished lanes outside ``healthy``; whether any lane
+        is still iterating."""
+        self.alive &= healthy | self.converged
+        return bool((self.alive & ~self.converged).any())
 
-    def __init__(self) -> None:
-        self.matrix = None
-        self.factorization = None
-        self.factor_reuses = 0
-        #: ``(analysis, source_scale, generation)`` the held factorization
-        #: belongs to; chord reuse across solves is only valid within it.
-        self.chord_tag: tuple | None = None
-        self.chord_iterations = 0
-        self.stall_refactors = 0
+    def assemble(self, x, want_jacobian):
+        return assemble_batch(self.system, x, self.analysis, self.options,
+                              self.columns, self.source_scale,
+                              want_jacobian=want_jacobian)
+
+    def admit(self, ctx, iteration, refactor):
+        return self._retire(ctx.residual_finite_lanes()
+                            & ctx.jacobian_finite_lanes())
+
+    def any_active(self, lanes):
+        return bool(lanes[self.alive & ~self.converged].any())
+
+    def factor(self, ctx):
+        try:
+            factorization, _ = self.ws.obtain(
+                self.system, ctx,
+                lambda matrix: batched_factorize(matrix, self.backend))
+        except LinAlgError:
+            # A batch-level factorization failure (not a per-lane one)
+            # retires every unfinished lane to the serial path.
+            self.alive &= self.converged
+            return None
+        return factorization
+
+    def solve(self, factorization, ctx, iteration):
+        self.alive &= ~factorization.failed | self.converged
+        dx = factorization.solve(-ctx.res)
+        return dx if self._retire(np.all(np.isfinite(dx), axis=1)) else None
+
+    def advance(self, x, x_new, done, iteration):
+        active = self.alive & ~self.converged
+        # Active lanes take the update (the B=1 face returns ``x_new``
+        # itself); frozen lanes keep theirs.
+        x[active] = x_new[active]
+        self.iterations[active] = iteration
+        self.converged |= active & done
+        return x, not (self.alive & ~self.converged).any()
+
+    def result(self, x, iteration):
+        return x, self.alive & self.converged, self.iterations
+
+    def exhausted(self, x, ctx):
+        return self.result(x, None)
 
 
 def batched_newton(system: MNASystem, x0: np.ndarray, analysis: str,
                    options: SimulationOptions, columns: ParameterColumns,
                    source_scale: float = 1.0,
-                   workspace: BatchWorkspace | None = None
+                   workspace: NewtonWorkspace | None = None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Damped Newton over B stacked systems with per-lane convergence.
+    """Newton over B stacked systems with per-lane convergence.
 
+    The B-lane face of :func:`~repro.circuit.analysis.op.newton_core`.
     Returns ``(x, solved, iterations)``: the per-lane solutions, a ``(B,)``
     mask of lanes that converged, and the per-lane iteration counts.  Lanes
     that hit any serial failure condition simply come back unsolved --
     nothing raises, so the caller can retire exactly those lanes to the
-    serial path.
+    serial path.  ``workspace`` carries factorization reuse (and the held
+    chord factorization) across calls, e.g. the points of a sweep.
     """
     if not batch_supported(options):
         raise AnalysisError(
             "batched Newton supports the dense/superlu backends only")
-    ws = workspace if workspace is not None else BatchWorkspace()
+    ws = workspace if workspace is not None else NewtonWorkspace(options)
     x = np.array(x0, dtype=float, copy=True)
-    batch = x.shape[0]
-    timing = telemetry.enabled()
-    if timing:
-        telemetry.registry.observe("batch.size", float(batch))
+    if telemetry.enabled():
+        telemetry.registry.observe("batch.size", float(x.shape[0]))
     columns.set_arrays()
-    n_nodes = system.num_nodes
-    base_tol = np.where(np.arange(system.size) < n_nodes,
-                        options.vntol, options.abstol)
-    backend = "superlu" if options.use_sparse(system.size) else "dense"
-    alive = np.ones(batch, dtype=bool)
-    converged = np.zeros(batch, dtype=bool)
-    iterations = np.zeros(batch, dtype=int)
-    damping = options.newton_damping
-    # Chord mode mirrors the serial contract: ride the held factorization
-    # with residual-only assemblies, refactor when any active lane's
-    # residual stops contracting (``refactor_threshold``) or the solve
-    # grinds past ``chord_limit``, and give the rest of the solve plain
-    # full Newton in the latter case.
-    tag = (analysis, source_scale, system.structure_cache.generation)
-    chord_allowed = options.jacobian_reuse == "chord"
-    chord = (chord_allowed
-             and ws.factorization is not None and ws.chord_tag == tag)
-    chord_limit = max(3, options.max_newton_iterations // 2)
-    previous_residual = None
-    for iteration in range(1, options.max_newton_iterations + 1):
-        ctx = assemble_batch(system, x, analysis, options, columns,
-                             source_scale, want_jacobian=not chord)
-        healthy = ctx.residual_finite_lanes()
-        if not chord:
-            healthy &= ctx.jacobian_finite_lanes()
-        alive &= healthy | converged
-        if not (alive & ~converged).any():
-            break
-        if chord:
-            active = alive & ~converged
-            res_norm = np.max(np.abs(ctx.res), axis=1)
-            stalled = (previous_residual is not None
-                       and bool(np.any(res_norm[active] >
-                                       options.refactor_threshold
-                                       * previous_residual[active])))
-            if stalled or iteration >= chord_limit:
-                ctx = assemble_batch(system, x, analysis, options, columns,
-                                     source_scale, want_jacobian=True)
-                alive &= (ctx.residual_finite_lanes()
-                          & ctx.jacobian_finite_lanes()) | converged
-                if not (alive & ~converged).any():
-                    break
-                ws.stall_refactors += 1
-                previous_residual = None
-                chord = False
-                if iteration >= chord_limit:
-                    chord_allowed = False
-            else:
-                ws.chord_iterations += 1
-                previous_residual = res_norm
-        t0 = perf_counter() if timing else None
-        if chord:
-            factorization = ws.factorization
-        else:
-            matrix = ctx.jacobian()
-            if options.jacobian_reuse != "off" \
-                    and _same_batch_matrix(ws.matrix, matrix):
-                factorization = ws.factorization
-                ws.factor_reuses += 1
-            else:
-                try:
-                    factorization = batched_factorize(matrix, backend)
-                except LinAlgError:
-                    # A batch-level factorization failure (not a per-lane
-                    # one) retires every unfinished lane to the serial path.
-                    alive &= converged
-                    break
-                ws.matrix = matrix
-                ws.factorization = factorization
-            ws.chord_tag = tag
-            if chord_allowed:
-                # Ride this factorization from the next iteration on.
-                chord = True
-        alive &= ~factorization.failed | converged
-        dx = factorization.solve(-ctx.res)
-        if t0 is not None:
-            telemetry.registry.observe("batch.solve_s", perf_counter() - t0)
-        alive &= np.all(np.isfinite(dx), axis=1) | converged
-        active = alive & ~converged
-        if not active.any():
-            break
-        x_new = x + damping * dx
-        tol = base_tol + options.reltol * np.maximum(np.abs(x), np.abs(x_new))
-        lane_converged = np.all(np.abs(damping * dx) <= tol, axis=1)
-        # Active lanes take the update (the serial loop assigns x = x_new
-        # *before* returning on convergence); frozen lanes keep theirs.
-        x[active] = x_new[active]
-        iterations[active] = iteration
-        converged |= active & lane_converged
-        if not (alive & ~converged).any():
-            break
-    solved = alive & converged
-    return x, solved, iterations
+    return newton_core(_Lanes(system, analysis, options, columns,
+                              source_scale, ws, x.shape[0]), x)
 
 
 def batched_operating_points(circuit: Circuit, options: SimulationOptions,
@@ -367,7 +313,7 @@ def batched_dcsweeps(circuit: Circuit, source_name: str,
     alive = np.ones(batch, dtype=bool)
     rows: list[list[dict[str, float]]] = [[] for _ in range(batch)]
     original_waveform = source.waveform
-    workspace = BatchWorkspace()
+    workspace = NewtonWorkspace(options)
     try:
         with columns:
             for value in sweep_values:

@@ -1,11 +1,27 @@
-"""Operating-point (DC bias) analysis and the shared Newton solver.
+"""Operating-point (DC bias) analysis and the Newton core.
 
-``newton_solve`` is the single Newton-Raphson implementation used by the
-operating-point, DC-sweep and transient analyses.  Convergence requires every
-unknown's update to fall below ``tol_i = (vntol | abstol) + reltol * |x_i|``
--- the SPICE criterion -- with across-type unknowns (node voltages and
-velocities) using ``vntol`` and auxiliary through-type unknowns using
-``abstol``.
+Every analysis ends in the same loop -- one Newton solve per bias point,
+sweep point or time step -- and that loop is written once, in
+:func:`newton_core`, over lane state: ``(n,)`` for one lane, ``(B, n)`` for
+B stacked parameter lanes.  It reduces over the last axis, so with one lane
+every convergence and finiteness test is a plain scalar and no lane mask is
+ever built.  A :class:`NewtonFace` supplies assembly, factorization and
+failure handling, and there are two:
+
+* :func:`newton_solve` is the B=1 face used by the operating-point, DC-sweep
+  and transient analyses.  It assembles through
+  :meth:`~repro.circuit.mna.MNASystem.assemble`, factors through
+  :meth:`NewtonWorkspace.factor` (any :class:`~repro.linalg.FactorizedSolver`
+  backend, CG included) and raises :class:`~repro.errors.ConvergenceError`
+  or :class:`~repro.errors.SingularMatrixError` on the first failure.
+* :func:`repro.circuit.analysis.batch.batched_newton` is the B-lane face:
+  batched assembly and factorization, per-lane alive/converged masks, and
+  failing lanes retire instead of raising.
+
+Convergence requires every unknown's update to fall below
+``tol_i = (vntol | abstol) + reltol * |x_i|`` -- the SPICE criterion -- with
+across-type unknowns (node voltages and velocities) using ``vntol`` and
+auxiliary through-type unknowns using ``abstol``.
 
 Linear stage
 ------------
@@ -13,7 +29,8 @@ Every Newton update routes through :mod:`repro.linalg`.  A
 :class:`NewtonWorkspace` carries the factorization state across iterations
 *and* across calls (time steps of a transient, points of a DC sweep), which
 is where the ``jacobian_reuse`` policies of
-:class:`~repro.circuit.analysis.options.SimulationOptions` live:
+:class:`~repro.circuit.analysis.options.SimulationOptions` live, for both
+faces alike:
 
 * ``"off"`` factors every freshly assembled Jacobian,
 * ``"auto"`` matches the assembled Jacobian against recently factored
@@ -48,8 +65,24 @@ from ..netlist import Circuit
 from .options import SimulationOptions
 from .results import OperatingPoint
 
-__all__ = ["newton_solve", "collect_outputs", "NewtonWorkspace",
-           "OperatingPointAnalysis"]
+__all__ = ["newton_solve", "newton_core", "NewtonFace", "collect_outputs",
+           "NewtonWorkspace", "OperatingPointAnalysis"]
+
+
+def _same_matrix(stored, matrix) -> bool:
+    """Exact equality of two assembled Jacobians: dense arrays (one matrix
+    or a ``(B, n, n)`` stack), CSR matrices, or lists of per-lane CSR
+    matrices.  A memcmp-speed check, cheap enough to run every Newton
+    iteration (unlike a content hash, which costs a sizable fraction of the
+    LU it is trying to skip)."""
+    if isinstance(matrix, list):
+        return (isinstance(stored, list) and len(stored) == len(matrix)
+                and all(map(_same_matrix, stored, matrix)))
+    if sp.issparse(matrix):
+        return sp.issparse(stored) and stored.shape == matrix.shape \
+            and stored.data.size == matrix.data.size \
+            and np.array_equal(stored.data, matrix.data)
+    return isinstance(stored, np.ndarray) and np.array_equal(stored, matrix)
 
 
 class NewtonWorkspace:
@@ -58,8 +91,9 @@ class NewtonWorkspace:
     Holds the backend solver, a short equality-matched list of recently
     factored Jacobians and the chord-Newton bookkeeping (which factorization
     is held, and for which integrator step / source level it was produced).
-    Analyses create one workspace per run and thread it through every
-    :func:`newton_solve` call so factorizations survive across time steps
+    Analyses create one workspace per run and thread it through every solve
+    -- :func:`newton_solve` calls of a transient or sweep, ``batched_newton``
+    calls of a batched sweep -- so factorizations survive across time steps
     and sweep points.
     """
 
@@ -72,15 +106,13 @@ class NewtonWorkspace:
                                        rtol=options.linear_solver_rtol,
                                        cg_fallback=True)
         #: list of (structure generation, matrix, factorization), most
-        #: recent first.  Matching is exact array equality -- a memcmp-speed
-        #: check, cheap enough to run every Newton iteration (unlike a
-        #: content hash, which costs a sizable fraction of the LU it is
-        #: trying to skip).
+        #: recent first.
         self._recent: list[tuple[int, object, object]] = []
         self.factorization = None
         #: (analysis, step, source_scale, structure generation) the held
         #: factorization belongs to; chord reuse is only valid within it.
         self.chord_tag: tuple | None = None
+        self.factorizations = 0
         self.factor_reuses = 0
         self.chord_iterations = 0
         self.stall_refactors = 0
@@ -93,50 +125,50 @@ class NewtonWorkspace:
         #: when ``options.health_check`` is on (capped like diagnostics).
         self.health: list = []
 
-    @staticmethod
-    def _same_matrix(stored, matrix) -> bool:
-        if sp.issparse(matrix):
-            return sp.issparse(stored) and stored.shape == matrix.shape \
-                and stored.data.size == matrix.data.size \
-                and np.array_equal(stored.data, matrix.data)
-        return not sp.issparse(stored) and np.array_equal(stored, matrix)
-
     def factor(self, system: MNASystem, ctx: StampContext):
         """Factor (or fetch) the Jacobian of a fully assembled context."""
-        matrix = ctx.jacobian()
-        generation = system.structure_cache.generation if ctx.use_sparse else 0
-        fresh = False
-        if self.options.jacobian_reuse == "off":
-            factorization = self.solver.factorize(matrix)
-            fresh = True
-        else:
-            factorization = None
-            for index, (stored_gen, stored, handle) in enumerate(self._recent):
-                # The generation tag pins the sparsity pattern the stored
-                # data array belongs to.
-                if stored_gen == generation and self._same_matrix(stored, matrix):
-                    factorization = handle
-                    if index:
-                        self._recent.insert(0, self._recent.pop(index))
-                    self.factor_reuses += 1
-                    break
-            if factorization is None:
-                factorization = self.solver.factorize(matrix)
-                self._recent.insert(0, (generation, matrix, factorization))
-                del self._recent[self._RECENT_LIMIT:]
-                fresh = True
+        factorization, fresh = self.obtain(system, ctx, self.solver.factorize)
         if fresh and self.options.health_check:
             record = telemetry.health.check_factorization(
                 factorization, limit=self.options.condition_limit)
             if len(self.health) < self.options.telemetry_max_records:
                 self.health.append(record)
-        self.factorization = factorization
         return factorization
+
+    def obtain(self, system: MNASystem, ctx: StampContext, factorize):
+        """``(factorization, fresh)`` for the context's Jacobian.
+
+        Under a reusing policy an exactly equal recently factored matrix
+        hands back its factorization; otherwise ``factorize(matrix)`` makes
+        a fresh one.  Both Newton faces factor through here, each with its
+        own ``factorize`` (serial solver or batched LU).
+        """
+        matrix = ctx.jacobian()
+        reuse = self.options.jacobian_reuse != "off"
+        if reuse:
+            # The generation tag pins the sparsity pattern the stored data
+            # arrays belong to.
+            generation = system.structure_cache.generation \
+                if ctx.use_sparse else 0
+            for index, (stored_gen, stored, handle) in enumerate(self._recent):
+                if stored_gen == generation and _same_matrix(stored, matrix):
+                    if index:
+                        self._recent.insert(0, self._recent.pop(index))
+                    self.factor_reuses += 1
+                    self.factorization = handle
+                    return handle, False
+        self.factorizations += 1
+        handle = factorize(matrix)
+        if reuse:
+            self._recent.insert(0, (generation, matrix, handle))
+            del self._recent[self._RECENT_LIMIT:]
+        self.factorization = handle
+        return handle, True
 
     def statistics(self) -> dict[str, int]:
         """Counters for result statistics and the reuse benchmarks."""
         return {
-            "factorizations": self.solver.factorizations,
+            "factorizations": self.factorizations,
             "factor_cache_hits": self.factor_reuses,
             "chord_iterations": self.chord_iterations,
             "stall_refactors": self.stall_refactors,
@@ -144,12 +176,13 @@ class NewtonWorkspace:
         }
 
 
-def _chord_tag(system: MNASystem, analysis: str,
-               integrator: Integrator | None, source_scale: float) -> tuple:
+def _chord_tag(face: "NewtonFace") -> tuple:
+    integrator = face.integrator
     step = integrator.h if (integrator is not None
-                            and analysis == "tran"
+                            and face.analysis == "tran"
                             and not integrator.priming) else None
-    return (analysis, step, source_scale, system.structure_cache.generation)
+    return (face.analysis, step, face.source_scale,
+            face.system.structure_cache.generation)
 
 
 #: Step ratios outside this window make the chord iteration matrix
@@ -186,30 +219,53 @@ def _step_only_change(old: tuple | None, new: tuple) -> bool:
     return _STEP_REUSE_RATIO[0] <= ratio <= _STEP_REUSE_RATIO[1]
 
 
-def newton_solve(system: MNASystem, x0: np.ndarray, analysis: str, time: float,
-                 integrator: Integrator | None, options: SimulationOptions,
-                 source_scale: float = 1.0,
-                 workspace: NewtonWorkspace | None = None) -> tuple[np.ndarray, int]:
-    """Solve ``F(x) = 0`` by damped Newton-Raphson starting from ``x0``.
+class NewtonFace:
+    """One face of :func:`newton_core`: the problem plus lane bookkeeping.
 
-    Returns the converged solution and the number of iterations used.
-    Raises :class:`~repro.errors.ConvergenceError` when the iteration cap is
-    reached and :class:`~repro.errors.SingularMatrixError` when the Jacobian
-    cannot be factorised.  ``workspace`` carries factorization reuse across
-    calls; a throwaway one is created when omitted.
+    The core owns the iteration (reuse, chord, stall refactor, tolerances);
+    a face owns everything that differs between one lane and many:
+
+    * ``assemble(x, want_jacobian)`` -- the stamp context at lane state ``x``,
+    * ``admit(ctx, iteration, refactor)`` -- drop lanes whose residual or
+      Jacobian is non-finite; whether any lane is still iterating,
+    * ``any_active(lanes)`` -- reduce a per-lane test over the lanes still
+      iterating,
+    * ``factor(ctx)`` -- the factorization (``None``: no lane left),
+    * ``solve(factorization, ctx, iteration)`` -- the Newton update with
+      non-finite lanes dropped (``None``: no lane left),
+    * ``advance(x, x_new, done, iteration)`` -- ``(x, finished)``, where
+      ``done`` says which lanes converged this iteration,
+    * ``result(x, iteration)`` / ``exhausted(x, ctx)`` -- the return value
+      when every lane finished / when the iteration stopped short.
     """
-    ws = NewtonWorkspace(options) if workspace is None else workspace
-    x = np.array(x0, dtype=float, copy=True)
+
+    #: Telemetry histogram of the back-substitution time.
+    solve_metric = ""
+
+    def __init__(self, system: MNASystem, analysis: str, time: float,
+                 integrator: Integrator | None, options: SimulationOptions,
+                 source_scale: float, workspace: NewtonWorkspace) -> None:
+        self.system = system
+        self.analysis = analysis
+        self.time = time
+        self.integrator = integrator
+        self.options = options
+        self.source_scale = source_scale
+        self.ws = workspace
+
+
+def newton_core(face: NewtonFace, x: np.ndarray):
+    """Chord/full Newton from lane state ``x``, the one loop of every face.
+
+    ``x`` is ``(n,)`` for one lane or ``(B, n)`` for B lanes; the face's
+    reductions decide which, and its ``result``/``exhausted`` decide what
+    is returned.
+    """
+    options, ws = face.options, face.ws
     timing = telemetry.enabled()
-    trace = NewtonTrace(context=analysis, time=time) \
-        if timing and ws.convergence is not None else None
-    # Forensics track the residual-norm trajectory (one float/iteration) so
-    # a failure report can show how the solve died, not just that it died.
-    norms: list[float] | None = [] if options.forensics else None
-    n_nodes = system.num_nodes
-    base_tol = np.where(np.arange(system.size) < n_nodes,
+    base_tol = np.where(np.arange(face.system.size) < face.system.num_nodes,
                         options.vntol, options.abstol)
-    tag = _chord_tag(system, analysis, integrator, source_scale)
+    tag = _chord_tag(face)
     chord_allowed = options.jacobian_reuse == "chord"
     chord = (chord_allowed
              and ws.factorization is not None and ws.chord_tag == tag)
@@ -226,159 +282,207 @@ def newton_solve(system: MNASystem, x0: np.ndarray, analysis: str, time: float,
             and _step_only_change(ws.chord_tag, tag)):
         # A rejected (or re-grown) time step changed only ``h``: ride the
         # accepted-step factorization instead of re-assembling from scratch.
-        chord = True
-        require_confirm = True
+        chord = require_confirm = True
         ws.chord_tag = tag
         ws.step_chord_reuses += 1
     # Past this point a chord solve that is still grinding is assumed to be
     # riding a stale Jacobian; refactor instead of burning the iteration cap.
     chord_limit = max(3, options.max_newton_iterations // 2)
     previous_residual = None
-    confirmed_once = False
+    confirmed = False
     for iteration in range(1, options.max_newton_iterations + 1):
-        ctx = system.assemble(x, analysis, time, integrator, options,
-                              source_scale, want_jacobian=not chord)
-        if not np.all(np.isfinite(ctx.res)) or not ctx.jacobian_is_finite():
-            message = (f"non-finite residual/Jacobian at iteration "
-                       f"{iteration} (t={time:g})")
-            raise ConvergenceError(
-                message, iterations=iteration,
-                report=_newton_report(ws, system, options, analysis, time,
-                                      norms, message=message,
-                                      error_type="ConvergenceError",
-                                      iterations=iteration, vector=ctx.res))
-        if trace is not None or norms is not None:
-            res_norm = float(np.max(np.abs(ctx.res))) if ctx.res.size else 0.0
-            if trace is not None:
-                trace.residuals.append(res_norm)
-            if norms is not None:
-                norms.append(res_norm)
+        ctx = face.assemble(x, not chord)
+        if not face.admit(ctx, iteration, refactor=False):
+            break
+        stall_refactor = False
         if chord:
-            residual_norm = float(np.max(np.abs(ctx.res))) if ctx.res.size else 0.0
-            stalled = (previous_residual is not None
-                       and residual_norm >
-                       options.refactor_threshold * previous_residual)
-            if stalled or iteration >= chord_limit:
-                ctx = system.assemble(x, analysis, time, integrator, options,
-                                      source_scale, want_jacobian=True)
-                if not ctx.jacobian_is_finite():
-                    message = (f"non-finite Jacobian at iteration {iteration} "
-                               f"(t={time:g})")
-                    raise ConvergenceError(
-                        message, iterations=iteration,
-                        report=_newton_report(ws, system, options, analysis,
-                                              time, norms, message=message,
-                                              error_type="ConvergenceError",
-                                              iterations=iteration,
-                                              vector=ctx.res))
-                _factorize(ws, system, ctx, analysis, time)
-                ws.chord_tag = tag
-                ws.stall_refactors += 1
+            residual = np.max(np.abs(ctx.res), axis=-1, initial=0.0)
+            if iteration >= chord_limit or (
+                    previous_residual is not None and face.any_active(
+                        residual > options.refactor_threshold
+                        * previous_residual)):
+                ctx = face.assemble(x, True)
+                if not face.admit(ctx, iteration, refactor=True):
+                    break
+                stall_refactor = True
                 previous_residual = None
                 require_confirm = False  # fresh factorization for this step
+                chord = False
                 if iteration >= chord_limit:
                     # This solve is grinding: give the rest of it plain full
                     # Newton instead of re-assembling twice per iteration.
                     chord_allowed = False
-                    chord = False
             else:
                 ws.chord_iterations += 1
-                previous_residual = residual_norm
+                previous_residual = residual
+        if chord:
             factorization = ws.factorization
         else:
-            factorization = _factorize(ws, system, ctx, analysis, time)
+            factorization = face.factor(ctx)
+            if factorization is None:
+                break
             ws.chord_tag = tag
-            if chord_allowed:
-                # Ride this factorization from the next iteration on.
-                chord = True
-        try:
-            t0 = perf_counter() if timing else None
-            dx = factorization.solve(-ctx.res)
-            if t0 is not None:
-                telemetry.registry.observe(f"newton.{analysis}.solve_s",
-                                           perf_counter() - t0)
-        except LinAlgError as exc:
-            message = f"MNA solve failed for {analysis} at t={time:g}: {exc}"
-            raise SingularMatrixError(
-                message,
-                report=_newton_report(ws, system, options, analysis, time,
-                                      norms, kind="singular", message=message,
-                                      error_type="SingularMatrixError",
-                                      iterations=iteration,
-                                      vector=ctx.res)) from exc
-        if not np.all(np.isfinite(dx)):
-            message = (f"non-finite Newton update at iteration {iteration} "
-                       f"(t={time:g})")
-            raise ConvergenceError(
-                message, iterations=iteration,
-                report=_newton_report(ws, system, options, analysis, time,
-                                      norms, message=message,
-                                      error_type="ConvergenceError",
-                                      iterations=iteration, vector=dx))
-        x_new = x + options.newton_damping * dx
+            if stall_refactor:
+                ws.stall_refactors += 1
+            # Ride this factorization from the next iteration on.
+            chord = chord_allowed
+        t0 = perf_counter() if timing else None
+        dx = face.solve(factorization, ctx, iteration)
+        if t0 is not None:
+            telemetry.registry.observe(face.solve_metric, perf_counter() - t0)
+        if dx is None:
+            break
+        x_new = x + dx
         tol = base_tol + options.reltol * np.maximum(np.abs(x), np.abs(x_new))
         if require_confirm:
             tol = _CONFIRM_TIGHTEN * tol
-        converged = bool(np.all(np.abs(options.newton_damping * dx) <= tol))
-        x = x_new
-        if converged and iteration >= 1:
-            if require_confirm and not confirmed_once:
-                confirmed_once = True  # one more below-tolerance pass, please
-                continue
-            if trace is not None:
-                trace.converged = True
-                ws.convergence.add_newton(trace)
-            return x, iteration
-        confirmed_once = False
-    if trace is not None:
-        ws.convergence.add_newton(trace)
-    message = (f"Newton failed to converge in {options.max_newton_iterations} "
-               f"iterations ({analysis}, t={time:g})")
-    raise ConvergenceError(
-        message,
-        iterations=options.max_newton_iterations,
-        residual=float(np.max(np.abs(ctx.res))),
-        report=_newton_report(ws, system, options, analysis, time, norms,
-                              message=message, error_type="ConvergenceError",
-                              iterations=options.max_newton_iterations,
-                              vector=ctx.res))
+        below = (np.abs(dx) <= tol).all(axis=-1)
+        # Riding a step-mismatched factorization, a lane converges on its
+        # second consecutive below-tolerance pass.
+        done = below & confirmed if require_confirm else below
+        confirmed = below
+        x, finished = face.advance(x, x_new, done, iteration)
+        if finished:
+            return face.result(x, iteration)
+    return face.exhausted(x, ctx)
 
 
-def _newton_report(ws: NewtonWorkspace, system: MNASystem,
-                   options: SimulationOptions, analysis: str, time: float,
-                   norms, *, message: str, error_type: str,
-                   kind: str = "newton", iterations: int | None = None,
-                   vector=None, matrix=None):
-    """Build/record a FailureReport for a dying Newton solve (or None)."""
+class _OneLane(NewtonFace):
+    """The B=1 face: one ``(n,)`` lane, scalar checks, failures raise."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.trace = NewtonTrace(context=self.analysis, time=self.time) \
+            if self.ws.convergence is not None and telemetry.enabled() \
+            else None
+        # Forensics track the residual-norm trajectory (one float/iteration)
+        # so a failure report can show how the solve died, not just that it
+        # died.
+        self.norms: list[float] | None = [] if self.options.forensics \
+            else None
+
+    @property
+    def solve_metric(self) -> str:
+        return f"newton.{self.analysis}.solve_s"
+
+    def assemble(self, x, want_jacobian):
+        return self.system.assemble(x, self.analysis, self.time,
+                                    self.integrator, self.options,
+                                    self.source_scale,
+                                    want_jacobian=want_jacobian)
+
+    def admit(self, ctx, iteration, refactor):
+        if not np.all(np.isfinite(ctx.res)) or not ctx.jacobian_is_finite():
+            what = "Jacobian" if refactor else "residual/Jacobian"
+            self.fail(ConvergenceError(
+                f"non-finite {what} at iteration {iteration} "
+                f"(t={self.time:g})", iterations=iteration),
+                iterations=iteration, vector=ctx.res)
+        if not refactor and (self.trace is not None
+                             or self.norms is not None):
+            norm = float(np.max(np.abs(ctx.res))) if ctx.res.size else 0.0
+            if self.trace is not None:
+                self.trace.residuals.append(norm)
+            if self.norms is not None:
+                self.norms.append(norm)
+        return True
+
+    def any_active(self, lanes):
+        return lanes
+
+    def factor(self, ctx):
+        try:
+            return self.ws.factor(self.system, ctx)
+        except LinAlgError as exc:
+            self.fail(SingularMatrixError(
+                f"singular MNA matrix while solving {self.analysis} "
+                f"at t={self.time:g}: {exc}"), kind="singular",
+                unfactorable=ctx, cause=exc)
+
+    def solve(self, factorization, ctx, iteration):
+        try:
+            dx = factorization.solve(-ctx.res)
+        except LinAlgError as exc:
+            self.fail(SingularMatrixError(
+                f"MNA solve failed for {self.analysis} at t={self.time:g}: "
+                f"{exc}"), kind="singular", iterations=iteration,
+                vector=ctx.res, cause=exc)
+        if not np.all(np.isfinite(dx)):
+            self.fail(ConvergenceError(
+                f"non-finite Newton update at iteration {iteration} "
+                f"(t={self.time:g})", iterations=iteration),
+                iterations=iteration, vector=dx)
+        return dx
+
+    def advance(self, x, x_new, done, iteration):
+        return x_new, done
+
+    def result(self, x, iteration):
+        if self.trace is not None:
+            self.trace.converged = True
+            self.ws.convergence.add_newton(self.trace)
+        return x, iteration
+
+    def exhausted(self, x, ctx):
+        if self.trace is not None:
+            self.ws.convergence.add_newton(self.trace)
+        cap = self.options.max_newton_iterations
+        self.fail(ConvergenceError(
+            f"Newton failed to converge in {cap} iterations "
+            f"({self.analysis}, t={self.time:g})", iterations=cap,
+            residual=float(np.max(np.abs(ctx.res)))),
+            iterations=cap, vector=ctx.res)
+
+    def fail(self, error, *, kind: str = "newton",
+             iterations: int | None = None, vector=None, unfactorable=None,
+             cause: Exception | None = None):
+        """Raise ``error`` with its forensics report (when captured)."""
+        error.report = _newton_report(self, error, kind, iterations, vector,
+                                      unfactorable)
+        raise error from cause
+
+
+def _newton_report(lane: _OneLane, error, kind: str, iterations, vector,
+                   unfactorable):
+    """Build/record a FailureReport for a dying solve (or None).
+
+    A failed factorization (``unfactorable`` context) is reported
+    structurally: the diagnosis of the matrix that would not factor, whose
+    empty columns name unconstrained unknowns (floating nodes) and empty
+    rows equations that constrain nothing -- without the held
+    factorization, which belongs to an older matrix.
+    """
+    options = lane.options
     if not options.forensics:
         return None
+    structural = unfactorable is not None
     return telemetry.forensics.newton_failure(
-        kind=kind, analysis=analysis, message=message, error_type=error_type,
-        time=time, iterations=iterations, labels=system.unknown_labels(),
-        residual=vector, trajectory=norms or (),
-        factorization=ws.factorization, matrix=matrix, options=options,
-        context={"size": system.size})
+        kind=kind, analysis=lane.analysis, message=str(error),
+        error_type=type(error).__name__, time=lane.time,
+        iterations=iterations, labels=lane.system.unknown_labels(),
+        residual=vector, trajectory=() if structural else lane.norms,
+        factorization=None if structural else lane.ws.factorization,
+        matrix=unfactorable.jacobian() if structural else None,
+        options=options, context={"size": lane.system.size})
 
 
-def _factorize(ws: NewtonWorkspace, system: MNASystem, ctx: StampContext,
-               analysis: str, time: float):
-    try:
-        return ws.factor(system, ctx)
-    except LinAlgError as exc:
-        message = (f"singular MNA matrix while solving {analysis} "
-                   f"at t={time:g}: {exc}")
-        report = None
-        if ws.options.forensics:
-            # The structural diagnosis of the unfactorable matrix is the
-            # "which stamp broke the matrix" signal: empty columns name
-            # unconstrained unknowns (floating nodes), empty rows name
-            # equations that constrain nothing.
-            report = telemetry.forensics.newton_failure(
-                kind="singular", analysis=analysis, message=message,
-                error_type="SingularMatrixError", time=time,
-                labels=system.unknown_labels(), matrix=ctx.jacobian(),
-                options=ws.options, context={"size": system.size})
-        raise SingularMatrixError(message, report=report) from exc
+def newton_solve(system: MNASystem, x0: np.ndarray, analysis: str, time: float,
+                 integrator: Integrator | None, options: SimulationOptions,
+                 source_scale: float = 1.0,
+                 workspace: NewtonWorkspace | None = None) -> tuple[np.ndarray, int]:
+    """Solve ``F(x) = 0`` by Newton-Raphson starting from ``x0``.
+
+    The B=1 face of :func:`newton_core`.  Returns the converged solution
+    and the number of iterations used.  Raises
+    :class:`~repro.errors.ConvergenceError` when the iteration cap is
+    reached and :class:`~repro.errors.SingularMatrixError` when the Jacobian
+    cannot be factorised.  ``workspace`` carries factorization reuse across
+    calls; a throwaway one is created when omitted.
+    """
+    ws = NewtonWorkspace(options) if workspace is None else workspace
+    lane = _OneLane(system, analysis, time, integrator, options,
+                    source_scale, ws)
+    return newton_core(lane, np.array(x0, dtype=float, copy=True))
 
 
 def collect_outputs(system: MNASystem, ctx: StampContext) -> dict[str, float]:

@@ -43,8 +43,6 @@ class SimulationOptions:
         Smallest allowed step as a fraction of the requested print step.
     max_step_growth:
         Largest factor by which two consecutive steps may differ.
-    newton_damping:
-        Damping factor applied to Newton updates (1.0 = full steps).
     linear_solver:
         Linear-solve routing for the Newton updates: ``"auto"`` picks the
         sparse direct solver once the unknown count exceeds
@@ -57,7 +55,9 @@ class SimulationOptions:
         Unknown count above which ``"auto"`` switches from the dense LAPACK
         solve to sparse assembly + SuperLU.
     jacobian_reuse:
-        Factorization-reuse policy of the Newton linear stage:
+        Factorization-reuse policy of the Newton linear stage, for serial
+        solves and batched campaign lanes alike (both faces of the one
+        Newton core in :mod:`repro.circuit.analysis.op`):
 
         * ``"off"`` -- factor the freshly assembled Jacobian on every
           iteration (the historical behaviour),
@@ -89,8 +89,8 @@ class SimulationOptions:
         (:mod:`repro.hdl.compile`) instead of re-interpreting their
         expressions through the AD layer on every stamp.  Results are
         bit-identical; the interpreter remains the verified fallback for
-        anything the tracer cannot follow.  Set False (or export
-        ``REPRO_BEHAVIORAL_INTERP=1``) to force the interpreter everywhere.
+        anything the tracer cannot follow.  Set False to force the
+        interpreter for every behavioral device of the run.
     telemetry:
         Instrumentation level of the run (see :mod:`repro.telemetry`):
         ``"off"`` (default) collects nothing beyond the always-on counters;
@@ -133,7 +133,6 @@ class SimulationOptions:
     trtol: float = 7.0
     min_step_ratio: float = 1e-9
     max_step_growth: float = 2.0
-    newton_damping: float = 1.0
     linear_solver: str = "auto"
     linear_solver_rtol: float = 1e-10
     sparse_threshold: int = 256
@@ -159,8 +158,6 @@ class SimulationOptions:
         if self.integration_method not in ("trapezoidal", "backward_euler"):
             raise AnalysisError(
                 f"unknown integration method {self.integration_method!r}")
-        if not (0.0 < self.newton_damping <= 1.0):
-            raise AnalysisError("newton_damping must be in (0, 1]")
         if self.max_step_growth < 1.1:
             raise AnalysisError("max_step_growth must be at least 1.1")
         if self.linear_solver not in ("auto", "dense", "sparse", "cg"):

@@ -19,8 +19,8 @@ compiles vs. cache reuse, ``hdl.compile.fallback.<reason>`` counts every
 compiled -> interpreter fallback, and ``hdl.kernel.eval_s`` histograms
 kernel time.
 
-Escape hatches: ``SimulationOptions(behavioral_compile=False)`` per run, or
-``REPRO_BEHAVIORAL_INTERP=1`` in the environment for everything.
+Escape hatch: ``SimulationOptions(behavioral_compile=False)`` keeps a run
+on the interpreter.
 """
 
 from . import ir, partials, passes

@@ -29,16 +29,14 @@ per-device :class:`_BoundVariant` holding a pre-resolved input-gather plan
 geometry (node/aux indices and the dependency -> leaf sign map), so a stamp
 is a plan walk plus one generated-kernel call.
 
-Escape hatches: ``SimulationOptions(behavioral_compile=False)`` and the
-``REPRO_BEHAVIORAL_INTERP`` environment variable (checked once per assembly
-context, so tests can flip it between runs) both force the interpreter.
+Escape hatch: ``SimulationOptions(behavioral_compile=False)`` forces the
+interpreter; every stamp reads it from its context's options.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
 import re
 from time import perf_counter
 
@@ -66,25 +64,9 @@ MAX_VARIANTS = 8
 FALLBACK_PREFIX = "hdl.compile.fallback."
 
 
-def _interp_forced() -> bool:
-    return bool(os.environ.get("REPRO_BEHAVIORAL_INTERP"))
-
-
 def compilation_enabled(options) -> bool:
     """Whether kernels may replace the interpreter under these options."""
-    if _interp_forced():
-        return False
     return bool(getattr(options, "behavioral_compile", True))
-
-
-def _ctx_enabled(ctx) -> bool:
-    """Per-context memo of :func:`compilation_enabled` (contexts are
-    per-assembly, so the environment stays responsive between runs while the
-    ``os.environ`` lookup leaves the per-stamp path)."""
-    on = getattr(ctx, "_hdl_compile_on", None)
-    if on is None:
-        on = ctx._hdl_compile_on = compilation_enabled(ctx.options)
-    return on
 
 
 class CompileState:
@@ -532,7 +514,7 @@ def _scalar_eligible(device, ctx) -> bool:
     if type(ctx) is not StampContext:
         # Batch and sensitivity-seeded subclasses have their own contracts.
         return False
-    if ctx.keep_residual_duals or not _ctx_enabled(ctx):
+    if ctx.keep_residual_duals or not compilation_enabled(ctx.options):
         return False
     integrator = ctx.integrator
     if integrator is not None and integrator.capture_raw:
@@ -580,7 +562,7 @@ def try_stamp(device, ctx) -> bool:
         if isinstance(ctx, BatchStampContext):
             return try_stamp_batch(device, ctx)
         return False
-    if ctx.keep_residual_duals or not _ctx_enabled(ctx):
+    if ctx.keep_residual_duals or not compilation_enabled(ctx.options):
         return False
     integrator = ctx.integrator
     if integrator is not None and integrator.capture_raw:
@@ -741,8 +723,6 @@ def count_per_lane(device, lanes: int) -> None:
 
 def batch_ready(device, options=None) -> bool:
     """Whether the device can stamp a whole ``BatchStampContext`` at once."""
-    if _interp_forced():
-        return False
     if options is not None and not compilation_enabled(options):
         return False
     return _batch_bound(device, state_for(device)) is not None
@@ -750,7 +730,7 @@ def batch_ready(device, options=None) -> bool:
 
 def try_stamp_batch(device, ctx: BatchStampContext) -> bool:
     """Stamp every lane of a batch context with one vector-kernel call."""
-    if not _ctx_enabled(ctx):
+    if not compilation_enabled(ctx.options):
         return False
     bound = _batch_bound(device, state_for(device))
     if bound is None:

@@ -21,7 +21,6 @@ semantics exposed on :class:`~repro.circuit.analysis.options.SimulationOptions`.
 
 from __future__ import annotations
 
-from . import metrics
 from .batch import (BATCH_BACKENDS, BatchedDenseLU, BatchedFactorization,
                     BatchedSparseLU, batched_factorize)
 from .cache import FactorizationCache, matrix_fingerprint
@@ -46,7 +45,6 @@ __all__ = [
     "StructureCache",
     "batched_factorize",
     "matrix_fingerprint",
-    "metrics",
     "solve_sensitivities",
     "sweep_spectral_sensitivities",
 ]

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..errors import LinAlgError
-from . import metrics
+from ..telemetry import registry
 
 __all__ = ["BatchedFactorization", "BatchedDenseLU", "BatchedSparseLU",
            "batched_factorize", "BATCH_BACKENDS"]
@@ -140,7 +140,7 @@ class BatchedDenseLU(BatchedFactorization):
         return self._solve(rhs, trans=0)
 
     def solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
-        metrics.record("transpose_solves", self.batch)
+        registry.inc("linalg.transpose_solves", self.batch)
         return self._solve(rhs, trans=1)
 
 
@@ -200,7 +200,7 @@ class BatchedSparseLU(BatchedFactorization):
 
     def solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
         rhs = self._check_rhs(rhs)
-        metrics.record("transpose_solves", self.batch)
+        registry.inc("linalg.transpose_solves", self.batch)
         solutions = np.full((self.batch, self.n), np.nan)
         for b, entry in enumerate(self._lus):
             if entry is None:
@@ -221,8 +221,8 @@ def batched_factorize(matrices, backend: str = "auto") -> BatchedFactorization:
     sparse matrices.  ``backend`` mirrors the serial solver names: ``dense``
     (stacked LAPACK LU), ``superlu`` (shared-symbolic SuperLU) or ``auto``
     (follow the input representation).  Each lane counts as one
-    factorization in the :mod:`repro.linalg.metrics` aggregate, so campaign
-    solver stats stay comparable between the serial and batched paths.
+    ``linalg.factorizations`` registry event, so campaign solver stats stay
+    comparable between the serial and batched paths.
     """
     dense_input = isinstance(matrices, np.ndarray)
     if backend not in BATCH_BACKENDS:
@@ -240,5 +240,5 @@ def batched_factorize(matrices, backend: str = "auto") -> BatchedFactorization:
             matrices = [sp.csc_matrix(matrices[b])
                         for b in range(matrices.shape[0])]
         handle = BatchedSparseLU(matrices)
-    metrics.record("factorizations", handle.batch)
+    registry.inc("linalg.factorizations", handle.batch)
     return handle

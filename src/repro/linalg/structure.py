@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import LinAlgError
-from . import metrics
+from ..telemetry import registry
 
 __all__ = ["StructureCache"]
 
@@ -73,7 +73,7 @@ class StructureCache:
             self._rebuild(rows, cols, n)
         else:
             self.reuses += 1
-            metrics.record("structure_reuses")
+            registry.inc("linalg.structure_reuses")
         data = np.bincount(self._mapping, weights=values,
                            minlength=self._nnz) if values.size else \
             np.zeros(self._nnz)
@@ -106,7 +106,7 @@ class StructureCache:
             self._rebuild(rows, cols, n)
         else:
             self.reuses += 1
-            metrics.record("structure_reuses")
+            registry.inc("linalg.structure_reuses")
         lanes = []
         for b in range(values.shape[1]):
             data = np.bincount(self._mapping, weights=values[:, b],
@@ -151,7 +151,7 @@ class StructureCache:
         ).astype(np.int32, copy=False)
         self.generation += 1
         self.rebuilds += 1
-        metrics.record("structure_rebuilds")
+        registry.inc("linalg.structure_rebuilds")
 
     def __repr__(self) -> str:
         return (f"StructureCache(n={self._n}, nnz={self._nnz}, "

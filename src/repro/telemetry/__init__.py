@@ -8,9 +8,8 @@ The subsystem has three moving parts:
   With no session active the factories return a shared no-op handle, so
   permanently-instrumented hot loops pay one thread-local check.
 * **Metrics registry** (:mod:`repro.telemetry.registry`): process-wide
-  counters/gauges/histograms generalizing the old ``linalg.metrics``
-  counters (that module is now a shim over this registry), with
-  delta/merge plumbing for cross-process aggregation.
+  counters/gauges/histograms (the linalg cache counters live here as
+  ``linalg.*``), with delta/merge plumbing for cross-process aggregation.
 * **Convergence diagnostics** (:mod:`repro.telemetry.convergence`): Newton
   residual trajectories, transient step histories and optimizer iterate
   traces, attached to result objects behind ``SimulationOptions.telemetry``.

@@ -1,11 +1,9 @@
 """Process-wide metrics registry: counters, gauges and histograms.
 
-The registry generalizes the seven module-level cache counters that used to
-live in :mod:`repro.linalg.metrics` (that module is now a thin shim over
-this one): any layer of the stack can bump a **counter** (monotone event
-count), publish a **gauge** (last-written value) or **observe** a value into
-a **histogram** (count / sum / min / max digest -- the form that merges
-across processes without binning decisions).
+Any layer of the stack can bump a **counter** (monotone event count),
+publish a **gauge** (last-written value) or **observe** a value into a
+**histogram** (count / sum / min / max digest -- the form that merges across
+processes without binning decisions).
 
 Counters follow the rules the linalg counters established:
 

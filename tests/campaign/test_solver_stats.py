@@ -6,11 +6,17 @@ import numpy as np
 import pytest
 
 from repro.campaign import CampaignResult, CampaignRow, CampaignRunner, GridSweep
-from repro.campaign.runner import CircuitEvaluator
-from repro.circuit import Circuit
+from repro.campaign import runner
+from repro.campaign.runner import SOLVER_COUNTERS, CircuitEvaluator
+from repro.circuit import Circuit, OperatingPointAnalysis, SimulationOptions
+from repro.circuit.analysis.batch import (ParameterColumns,
+                                          batched_operating_points)
 from repro.circuit.devices.passive import Resistor
 from repro.circuit.devices.sources import VoltageSource
-from repro.linalg import FactorizationCache, metrics
+from repro.hdl import compile as hdl_compile
+from repro.hdl.compile import runtime as hdl_runtime
+from repro.linalg import FactorizationCache, FactorizedSolver, StructureCache
+from repro.telemetry import registry
 
 
 def build_divider(params: dict) -> Circuit:
@@ -54,22 +60,72 @@ def cached_evaluator(point: dict) -> dict:
     return {"x0": float(solution[0])}
 
 
-class TestMetricsModule:
-    def test_record_snapshot_delta(self):
-        before = metrics.snapshot()
-        metrics.record("factorizations", 3)
-        delta = metrics.counter_delta(before)
-        assert delta["factorizations"] == 3
-        assert delta["structure_reuses"] == 0
+def build_one_port(behavior, v: float = 1.0) -> Circuit:
+    """A source driving one behavioral port through a resistor."""
+    from repro.circuit.devices.behavioral import BehavioralDevice, Port
+    from repro.natures import ELECTRICAL
 
-    def test_unknown_counter_rejected(self):
-        with pytest.raises(KeyError):
-            metrics.record("bogus")
+    circuit = Circuit()
+    circuit.voltage_source("V1", "in", "0", v)
+    circuit.resistor("R1", "in", "out", 1e3)
+    circuit.add(BehavioralDevice(
+        "G1", [Port("p", circuit.electrical_node("out"), circuit.ground,
+                    ELECTRICAL)], behavior))
+    return circuit
+
+
+def untraceable(ctx):
+    # float() drops the derivative: the interpreter still converges since
+    # the 1 kOhm resistor dominates the Jacobian.
+    ctx.contribute("p", float(ctx.across("p")) / 1e6)
+
+
+def guarded(ctx):
+    v = ctx.across("p")
+    ctx.contribute("p", v / 1e3 if v > 0.5 else v / 2e3)
+
+
+class TestMetricsModule:
+    """The campaign's counter table over the metrics registry."""
+
+    def test_record_snapshot_delta(self):
+        before = runner._solver_counters()
+        registry.inc("linalg.factorizations", 3)
+        after = runner._solver_counters()
+        assert after["factorizations"] - before["factorizations"] == 3
+        assert after["structure_reuses"] == before["structure_reuses"]
+
+    def test_every_table_counter_is_bumped(self, monkeypatch):
+        # A representative operation per counter: a misspelt registry name
+        # in the table would stay at zero here.
+        before = runner._solver_counters()
+        handle = FactorizedSolver("dense").factorize(2.0 * np.eye(2))
+        handle.solve_transposed(np.ones(2))
+        cache = FactorizationCache(maxsize=1)
+        cache.factorize(np.eye(2))              # miss
+        cache.factorize(np.eye(2))              # hit
+        cache.factorize(3.0 * np.eye(2))        # miss + eviction
+        structure = StructureCache()
+        structure.assemble([0, 1], [0, 1], [1.0, 2.0], 2)   # rebuild
+        structure.assemble([0, 1], [0, 1], [3.0, 4.0], 2)   # reuse
+        hdl_compile.clear_cache()
+        OperatingPointAnalysis(build_behavioral({"v": 1.0})).run()  # compile
+        OperatingPointAnalysis(build_behavioral({"v": 2.0})).run()  # cache hit
+        OperatingPointAnalysis(build_one_port(untraceable)).run()
+        circuit = build_one_port(guarded)
+        with ParameterColumns(circuit, [("V1", "dc", [0.5, 2.0])]) as columns:
+            batched_operating_points(circuit, SimulationOptions(), columns)
+        monkeypatch.setattr(hdl_runtime, "MAX_VARIANTS", 0)
+        OperatingPointAnalysis(build_behavioral({"v": 3.0})).run()
+        after = runner._solver_counters()
+        for key, name in SOLVER_COUNTERS:
+            assert after[key] > before[key], (key, name)
 
     def test_merge(self):
-        total = {name: 1 for name in metrics.COUNTER_NAMES}
-        metrics.merge_counters(total, {"factorizations": 4})
+        total = {key: 1 for key, _ in SOLVER_COUNTERS}
+        runner._merge_solver_stats(total, {"factorizations": 4})
         assert total["factorizations"] == 5
+        assert total["hdl_compiles"] == 1
 
 
 class TestCampaignAggregation:

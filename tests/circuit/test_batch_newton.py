@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.circuit import Circuit, SimulationOptions
 from repro.circuit.analysis.batch import (ParameterColumns, batch_supported,
-                                          batched_dcsweeps,
+                                          batched_dcsweeps, batched_newton,
                                           batched_operating_points)
 from repro.circuit.analysis.dcsweep import DCSweepAnalysis
-from repro.circuit.analysis.op import OperatingPointAnalysis
-from repro.errors import AnalysisError, NetlistError
+from repro.circuit.analysis.op import OperatingPointAnalysis, newton_solve
+from repro.circuit.mna import MNASystem
+from repro.errors import (AnalysisError, ConvergenceError, NetlistError,
+                          SingularMatrixError)
 from repro.transducers import TransverseElectrostaticTransducer
 
 
@@ -219,8 +222,8 @@ class TestBatchedChord:
                 assert abs(op[key] - reference[key]) / scale <= 1e-12
 
     def test_chord_holds_factorization_across_iterations_and_solves(self):
-        from repro.circuit.analysis.batch import (BatchWorkspace,
-                                                  batched_newton)
+        from repro.circuit.analysis.batch import batched_newton
+        from repro.circuit.analysis.op import NewtonWorkspace
         from repro.circuit.mna import MNASystem
 
         circuit = build_ladder()
@@ -228,7 +231,7 @@ class TestBatchedChord:
         columns = ParameterColumns(circuit,
                                    [("VS", "dc", np.array([0.5, 0.7, 0.9]))])
         options = SimulationOptions(jacobian_reuse="chord")
-        ws = BatchWorkspace()
+        ws = NewtonWorkspace(options)
         with columns:
             x0 = np.zeros((3, system.size))
             x, solved, iters = batched_newton(system, x0, "op", options,
@@ -279,3 +282,99 @@ class TestBatchedChord:
                 scale = np.maximum(1.0, np.abs(ref_col))
                 assert np.all(
                     np.abs(result.column(key) - ref_col) / scale <= 1e-12)
+
+
+def _lane_values(low, high, log=False):
+    """Column entries: finite draws, and now and then a NaN (a lane that
+    must retire exactly when its serial solve raises)."""
+    finite = st.floats(np.log10(low), np.log10(high)).map(lambda e: 10.0 ** e) \
+        if log else st.floats(low, high)
+    return st.one_of(finite, finite, finite, st.just(np.nan))
+
+
+def _parity_cases(drive: float) -> dict:
+    """(circuit builder, [(device, parameter, lane values)]) per circuit;
+    ``drive`` caps the ladder's source voltage."""
+    return {
+        "ladder": (build_ladder, [("VS", "dc", _lane_values(0.2, drive)),
+                                  ("R0", "resistance",
+                                   _lane_values(50.0, 300.0))]),
+        "diode": (build_ladder, [("D1", "saturation_current",
+                                  _lane_values(1e-16, 1e-12, log=True)),
+                                 ("VS", "dc", _lane_values(0.2, drive))]),
+        "actuator": (build_actuator, [("XDCR", "d",
+                                       _lane_values(1.2e-6, 3e-6)),
+                                      ("VB", "dc", _lane_values(0.0, 12.0))]),
+    }
+
+
+@st.composite
+def _parity_problems(draw, drive: float):
+    cases = _parity_cases(drive)
+    build, targets = cases[draw(st.sampled_from(sorted(cases)))]
+    batch = draw(st.integers(1, 4))
+    columns = [(device, param, draw(st.lists(values, min_size=batch,
+                                             max_size=batch)))
+               for device, param, values in targets]
+    return build, columns
+
+
+def _serial_and_batched(problem, options):
+    """Serial ``newton_solve`` per lane (``None`` where it raises) and one
+    ``batched_newton`` over all lanes, from zero initial guesses."""
+    build, assignments = problem
+    circuit = build()
+    system = MNASystem(circuit)
+    columns = ParameterColumns(circuit, assignments)
+    serial = []
+    for lane in range(columns.batch):
+        columns.set_lane(lane)
+        try:
+            serial.append(newton_solve(system, np.zeros(system.size), "op",
+                                       0.0, None, options))
+        except (ConvergenceError, SingularMatrixError):
+            serial.append(None)
+        finally:
+            columns.restore()
+    with columns:
+        x, solved, iterations = batched_newton(
+            system, np.zeros((columns.batch, system.size)), "op", options,
+            columns)
+    # Retired lanes are exactly the ones whose serial solve raises.
+    assert solved.tolist() == [result is not None for result in serial]
+    return serial, x, iterations
+
+
+class TestGenerativeParity:
+    """batched_newton lane by lane against serial newton_solve."""
+
+    @pytest.mark.parametrize("reuse", ["off", "auto"])
+    @settings(max_examples=25, deadline=None)
+    @given(problem=_parity_problems(drive=8.0))
+    def test_full_newton_lanes_match_serial(self, reuse, problem):
+        serial, x, iterations = _serial_and_batched(
+            problem, SimulationOptions(jacobian_reuse=reuse))
+        for lane, result in enumerate(serial):
+            if result is not None:
+                reference, reference_iterations = result
+                scale = np.maximum(1.0, np.abs(reference))
+                assert np.all(np.abs(x[lane] - reference) / scale <= 1e-12)
+                assert iterations[lane] == reference_iterations
+
+    @settings(max_examples=25, deadline=None)
+    @given(problem=_parity_problems(drive=1.2))
+    def test_chord_lanes_match_serial(self, problem):
+        # Drives as in TestBatchedChord: where chord Newton contracts.  Far
+        # into forward conduction it diverges through overflow-sized
+        # iterates in both faces, and round-off differences between the
+        # batched and serial stamps/LU then decide which lanes survive.
+        options = SimulationOptions(jacobian_reuse="chord")
+        serial, x, _ = _serial_and_batched(problem, options)
+        for lane, result in enumerate(serial):
+            if result is not None:
+                # The batch-wide refactor schedule differs from the
+                # per-lane serial one, so chord parity holds to the Newton
+                # tolerance.
+                reference = result[0]
+                tol = options.vntol + options.reltol * np.abs(reference)
+                assert np.all(np.abs(x[lane] - reference) <= tol)

@@ -258,17 +258,6 @@ class TestEscapeHatches:
         assert len(result.time) > 1
         assert hdl_compile.cache_info()["kernels"] == before
 
-    def test_environment_variable_forces_interpreter(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BEHAVIORAL_INTERP", "1")
-        circuit = diode_circuit()
-        before = hdl_compile.cache_info()["kernels"]
-        forced = OperatingPointAnalysis(circuit, COMPILED).run()
-        assert hdl_compile.cache_info()["kernels"] == before
-        assert not hdl_compile.batch_ready(circuit["DB"])
-        monkeypatch.delenv("REPRO_BEHAVIORAL_INTERP")
-        compiled = OperatingPointAnalysis(diode_circuit(), COMPILED).run()
-        assert np.array_equal(forced.raw, compiled.raw)
-
 
 class TestBatchCompiled:
     def test_compiled_behavioral_is_batch_safe_with_serial_parity(self):

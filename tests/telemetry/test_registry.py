@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.linalg import metrics
+import numpy as np
+
+from repro.linalg import FactorizedSolver
 from repro.telemetry import registry
 
 
@@ -105,22 +107,18 @@ class TestDeltaMerge:
 
 
 class TestLinalgMetricsShim:
-    """repro.linalg.metrics keeps its exact legacy contract over the registry."""
+    """Every linalg call site counts straight into the registry."""
 
     def test_record_lands_in_registry(self):
-        metrics.reset()
-        metrics.record("factorizations")
-        assert metrics.snapshot()["factorizations"] == 1
+        registry.reset(prefix="linalg.")
+        FactorizedSolver("dense").factorize(np.eye(2))
         assert registry.counter_value("linalg.factorizations") == 1
-
-    def test_unknown_name_still_rejected(self):
-        with pytest.raises(KeyError):
-            metrics.record("bogus")
 
     def test_session_delta_sees_linalg_counters(self):
         from repro import telemetry
 
-        metrics.reset()
+        registry.reset(prefix="linalg.")
         with telemetry.session() as sess:
-            metrics.record("factorizations", 3)
+            for _ in range(3):
+                FactorizedSolver("dense").factorize(np.eye(2))
         assert sess.report.metrics["counters"]["linalg.factorizations"] == 3
