@@ -186,6 +186,8 @@ SOLVER_COUNTERS = (
     ("hdl_compile_cache_hits", "hdl.compile.cache_hits"),
     ("hdl_fallback_trace_error", "hdl.compile.fallback.trace_error"),
     ("hdl_fallback_max_variants", "hdl.compile.fallback.max_variants"),
+    ("hdl_fallback_unfusable", "hdl.compile.fallback.unfusable"),
+    ("hdl_fallback_leaf_collision", "hdl.compile.fallback.leaf_collision"),
     ("hdl_fallback_guarded_per_lane", "hdl.compile.fallback.guarded_per_lane"),
 )
 

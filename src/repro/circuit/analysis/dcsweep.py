@@ -97,8 +97,7 @@ class DCSweepAnalysis:
         """
         if self.options.telemetry == "off":
             return self._run(None)
-        diagnostics = telemetry.ConvergenceDiagnostics(
-            max_records=self.options.telemetry_max_records)
+        diagnostics = telemetry.ConvergenceDiagnostics()
         with telemetry.session(mode=self.options.telemetry) as sess:
             with telemetry.span("dcsweep.run"):
                 result = self._run(diagnostics)

@@ -60,6 +60,7 @@ from ... import telemetry
 from ...errors import ConvergenceError, LinAlgError, SingularMatrixError
 from ...linalg import FactorizedSolver
 from ...telemetry import NewtonTrace
+from ...telemetry.convergence import MAX_RECORDS
 from ..mna import Integrator, MNASystem, StampContext
 from ..netlist import Circuit
 from .options import SimulationOptions
@@ -83,6 +84,10 @@ def _same_matrix(stored, matrix) -> bool:
             and stored.data.size == matrix.data.size \
             and np.array_equal(stored.data, matrix.data)
     return isinstance(stored, np.ndarray) and np.array_equal(stored, matrix)
+
+
+#: Condition-estimate threshold of ``SimulationOptions.health_check``.
+CONDITION_LIMIT = 1e12
 
 
 class NewtonWorkspace:
@@ -130,8 +135,8 @@ class NewtonWorkspace:
         factorization, fresh = self.obtain(system, ctx, self.solver.factorize)
         if fresh and self.options.health_check:
             record = telemetry.health.check_factorization(
-                factorization, limit=self.options.condition_limit)
-            if len(self.health) < self.options.telemetry_max_records:
+                factorization, limit=CONDITION_LIMIT)
+            if len(self.health) < MAX_RECORDS:
                 self.health.append(record)
         return factorization
 
@@ -203,7 +208,7 @@ def _step_only_change(old: tuple | None, new: tuple) -> bool:
     """True when two chord tags differ only in a *moderate* step change.
 
     The LTE controller softly rejects a step (``h * 0.8 .. 0.9``) and grows
-    it after smooth stretches (up to ``max_step_growth``, default 2x); the
+    it after smooth stretches (up to ``transient.MAX_STEP_GROWTH``, 2x); the
     Jacobian then changes only through the companion conductances, so the
     held factorization is still a contractive chord operator -- the residual
     is assembled exactly at the new step, a confirming iteration guards the
@@ -536,8 +541,7 @@ class OperatingPointAnalysis:
         if options.telemetry == "off":
             return self._solve(initial_guess, workspace)
         if workspace.convergence is None:
-            workspace.convergence = telemetry.ConvergenceDiagnostics(
-                max_records=options.telemetry_max_records)
+            workspace.convergence = telemetry.ConvergenceDiagnostics()
         with telemetry.session(mode=options.telemetry) as sess:
             result = self._solve(initial_guess, workspace)
         sess.report.convergence = workspace.convergence

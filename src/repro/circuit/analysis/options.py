@@ -39,10 +39,6 @@ class SimulationOptions:
         ``"trapezoidal"`` (default) or ``"backward_euler"``.
     trtol:
         Truncation-error over-estimation factor in the step controller.
-    min_step_ratio:
-        Smallest allowed step as a fraction of the requested print step.
-    max_step_growth:
-        Largest factor by which two consecutive steps may differ.
     linear_solver:
         Linear-solve routing for the Newton updates: ``"auto"`` picks the
         sparse direct solver once the unknown count exceeds
@@ -99,20 +95,14 @@ class SimulationOptions:
         spans and residual trajectories.  When enabled the analysis attaches
         a :class:`~repro.telemetry.TelemetryReport` to its result object as
         ``result.telemetry``.
-    telemetry_max_records:
-        Storage cap per convergence-diagnostics category (Newton traces,
-        step records, optimizer iterates).  Storage stops at the cap, the
-        ``*_total`` counters keep counting -- see
-        :mod:`repro.telemetry.convergence` for the contract.
     health_check:
         Run a cheap 1-norm condition estimate (LAPACK ``gecon`` / a
         deterministic Hager iteration, see
         :mod:`repro.telemetry.health`) on every freshly factored Jacobian
         and warn (``NumericalHealthWarning`` + ``health.near_singular``
-        counter) when it exceeds ``condition_limit``.  Off by default:
+        counter) when it exceeds
+        :data:`repro.circuit.analysis.op.CONDITION_LIMIT`.  Off by default:
         costs a few back-substitutions per factorization.
-    condition_limit:
-        Condition-estimate threshold of ``health_check``.
     forensics:
         Capture a structured :class:`~repro.telemetry.FailureReport`
         (residual trajectory, offending unknown names, condition estimate,
@@ -131,8 +121,6 @@ class SimulationOptions:
     max_source_steps: int = constants.MAX_SOURCE_STEPS
     integration_method: str = "trapezoidal"
     trtol: float = 7.0
-    min_step_ratio: float = 1e-9
-    max_step_growth: float = 2.0
     linear_solver: str = "auto"
     linear_solver_rtol: float = 1e-10
     sparse_threshold: int = 256
@@ -141,9 +129,7 @@ class SimulationOptions:
     step_chord_reuse: bool = True
     behavioral_compile: bool = True
     telemetry: str = "off"
-    telemetry_max_records: int = 10000
     health_check: bool = False
-    condition_limit: float = 1e12
     forensics: bool = False
 
     def __post_init__(self) -> None:
@@ -158,8 +144,6 @@ class SimulationOptions:
         if self.integration_method not in ("trapezoidal", "backward_euler"):
             raise AnalysisError(
                 f"unknown integration method {self.integration_method!r}")
-        if self.max_step_growth < 1.1:
-            raise AnalysisError("max_step_growth must be at least 1.1")
         if self.linear_solver not in ("auto", "dense", "sparse", "cg"):
             raise AnalysisError(
                 f"unknown linear solver {self.linear_solver!r} "
@@ -178,10 +162,6 @@ class SimulationOptions:
             raise AnalysisError(
                 f"unknown telemetry level {self.telemetry!r} "
                 "(use 'off', 'summary' or 'full')")
-        if self.telemetry_max_records < 1:
-            raise AnalysisError("telemetry_max_records must be at least 1")
-        if self.condition_limit <= 1.0:
-            raise AnalysisError("condition_limit must exceed 1")
 
     def use_sparse(self, size: int) -> bool:
         """Whether a system of ``size`` unknowns should assemble sparse."""

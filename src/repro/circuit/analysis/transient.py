@@ -43,6 +43,12 @@ __all__ = ["TransientAnalysis"]
 #: Hard cap on accepted time points, to bound runaway analyses.
 _MAX_POINTS = 2_000_000
 
+#: Smallest allowed step as a fraction of the requested print step.
+MIN_STEP_RATIO = 1e-9
+
+#: Largest factor by which the step grows after a smooth step.
+MAX_STEP_GROWTH = 2.0
+
 
 class TransientAnalysis:
     """Time-domain simulation of a circuit.
@@ -118,8 +124,7 @@ class TransientAnalysis:
         """
         if self.options.telemetry == "off":
             return self._run(operating_point, None)
-        diagnostics = ConvergenceDiagnostics(
-            max_records=self.options.telemetry_max_records)
+        diagnostics = ConvergenceDiagnostics()
         with telemetry.session(mode=self.options.telemetry) as sess:
             with telemetry.span("transient.run"):
                 result = self._run(operating_point, diagnostics)
@@ -175,7 +180,7 @@ class TransientAnalysis:
                  "newton_time_s": 0.0}
         t = self.t_start
         h = min(self.t_step, self.max_step)
-        min_step = max(self.t_step * options.min_step_ratio, 1e-18)
+        min_step = max(self.t_step * MIN_STEP_RATIO, 1e-18)
         track = telemetry.progress.tracker(
             "transient", total=self.t_stop - self.t_start, unit="s")
         # Forensics keep a short tail of step attempts plus the last Newton
@@ -327,7 +332,7 @@ class TransientAnalysis:
                 track.update(t - self.t_start, dt=h)
 
                 if error_ratio < 0.1:
-                    h = min(h * options.max_step_growth, self.max_step)
+                    h = min(h * MAX_STEP_GROWTH, self.max_step)
                 elif error_ratio > 0.5:
                     h = max(h * 0.8, min_step)
                 if len(times) > _MAX_POINTS:

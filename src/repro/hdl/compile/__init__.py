@@ -5,8 +5,9 @@ architectures alike -- to a typed expression IR by concolic tracing
 (:mod:`.trace`), simplifies it with bitwise-exact passes (:mod:`.passes`),
 and emits cached scalar and lane-vectorized kernels for residual, Jacobian
 and ``dF/dp`` evaluation (:mod:`.codegen`).  :mod:`.runtime` wires the
-kernels into ``BehavioralDevice`` stamping with the interpreter retained as
-the verified fallback.  :mod:`.partials` compiles the energy method: the
+kernels into ``BehavioralDevice`` stamping -- the scalar code as one fused
+stamp/record function per (variant, MNA system) -- with the interpreter
+retained as the verified fallback.  :mod:`.partials` compiles the energy method: the
 co-energy partials of a transducer are derived symbolically (the ``diff``
 pass) and spliced into the device trace, so the kernels carry exact
 Hessians and parameter derivatives.
@@ -17,7 +18,8 @@ content-keying scheme as :func:`repro.linalg.cache.matrix_fingerprint`;
 ``hdl.compile.count`` / ``hdl.compile.cache_hits`` telemetry counters track
 compiles vs. cache reuse, ``hdl.compile.fallback.<reason>`` counts every
 compiled -> interpreter fallback, and ``hdl.kernel.eval_s`` histograms
-kernel time.
+kernel time: each fused scalar call (gather + kernel + accumulation) with a
+telemetry session open, and each batched or ``dF/dp`` kernel call.
 
 Escape hatch: ``SimulationOptions(behavioral_compile=False)`` keeps a run
 on the interpreter.

@@ -1,19 +1,19 @@
 """Kernel code generation from the traced IR.
 
 Four kernel flavors are generated from one :class:`~repro.hdl.compile.trace.
-TracedVariant`, all as plain Python source ``exec``-compiled once and cached
-process-wide by the variant's structural fingerprint (the same
-content-hash idea as :func:`repro.linalg.cache.matrix_fingerprint`):
+TracedVariant` and cached process-wide by the variant's structural
+fingerprint (the same content-hash idea as
+:func:`repro.linalg.cache.matrix_fingerprint`):
 
 ``jac``
-    Scalar residual + Jacobian kernel.  Mirrors the AD-dual interpreter
+    Scalar residual + Jacobian code.  Mirrors the AD-dual interpreter
     *formula by formula* -- including the interpreter's own algebra quirks
     (division computes ``a * (1/b)``, ``d(a*b) = va*db + vb*da`` in that
     order, subtrees free of seeded unknowns use plain float arithmetic
     exactly as the interpreter's float/dual coercion does) -- so compiled
     stamps are bit-identical to interpreted ones.
 ``value``
-    Scalar residual/record kernel mirroring the interpreter's *float mode*
+    Scalar residual/record code mirroring the interpreter's *float mode*
     (``with_jacobian=False``), used by residual-only assemblies and the
     record pass.
 ``vector``
@@ -25,7 +25,11 @@ content-hash idea as :func:`repro.linalg.cache.matrix_fingerprint`):
     device parameters, honoring the same dual-seeding contract the
     sensitivity layer uses when it seeds parameters as AD duals.
 
-All kernels share one calling convention::
+The scalar ``jac`` and ``value`` flavors are kept as structural
+:attr:`KernelSet.parts` only: :mod:`.runtime` splices them into one fused
+stamp/record function per (variant, MNA system), the only compiled scalar
+path.  ``vector`` and ``dfdp`` are ``exec``-compiled lazily into kernels
+that share one calling convention::
 
     kernel(ctx, _keys, *inputs) -> (values, extras) | None
 
@@ -445,9 +449,9 @@ def _generate_parts(variant, flavor: str):
     return preamble, writer.lines, value_names, extras, deriv_rows
 
 
-def _compose_source(variant, flavor: str, parts) -> str:
-    """Assemble a kernel function's source from its generated parts."""
-    preamble, body, value_names, extras, _ = parts
+def _generate(variant, flavor: str) -> str:
+    """Generate the Python source of one kernel flavor."""
+    preamble, body, value_names, extras, _ = _generate_parts(variant, flavor)
     args = ", ".join(f"i{pos}" for pos in range(len(variant.inputs)))
     header = f"def kernel(ctx, _keys{', ' + args if args else ''}):"
     ret = f"return {_tuple_expr(value_names)}, {_tuple_expr(extras)}"
@@ -463,11 +467,6 @@ def _compose_source(variant, flavor: str, parts) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _generate(variant, flavor: str) -> str:
-    """Generate the Python source of one kernel flavor."""
-    return _compose_source(variant, flavor, _generate_parts(variant, flavor))
-
-
 def _compile_source(source: str, flavor: str):
     namespace = {"math": math, "np": np}
     exec(compile(source, f"<behavioral-kernel:{flavor}>", "exec"), namespace)
@@ -480,7 +479,7 @@ class KernelSet:
     __slots__ = ("fingerprint", "inputs", "param_inputs", "diff_inputs",
                  "state_suffixes", "guarded", "contrib_ports", "eq_names",
                  "record_names", "param_defaults", "source", "parts",
-                 "scalar", "value", "_vector", "_dfdp")
+                 "_vector", "_dfdp")
 
     def __init__(self, fp: str, variant) -> None:
         self.fingerprint = fp
@@ -495,13 +494,12 @@ class KernelSet:
         self.eq_names = tuple(name for name, _ in variant.equations)
         self.record_names = tuple(name for name, _ in variant.records)
         self.param_defaults = dict(variant.param_defaults)
+        #: Scalar ``jac``/``value`` pieces, spliced by the runtime's fused
+        #: stamp generator.
         self.parts = {"jac": _generate_parts(variant, "jac"),
                       "value": _generate_parts(variant, "value")}
-        self.source = {
-            flavor: _compose_source(variant, flavor, self.parts[flavor])
-            for flavor in ("jac", "value")}
-        self.scalar = _compile_source(self.source["jac"], "jac")
-        self.value = _compile_source(self.source["value"], "value")
+        #: Source of the lazily compiled ``vector``/``dfdp`` kernels.
+        self.source: dict[str, str] = {}
         self._vector = [variant]  # lazily generated below
         self._dfdp = [variant]
 

@@ -1,33 +1,56 @@
 """Runtime integration of compiled behavioral kernels into MNA stamping.
 
 This module owns the per-device compile state (traced variants, permanent
-fallbacks) and the stamp-time protocol:
+fallbacks) and the stamp-time protocol.
 
-1. ``try_stamp``/``try_record`` run the device's compiled kernels for the
-   current analysis mode.  A guard mismatch tries the next variant; when
-   every variant misses, the model is re-traced against the live context
-   (bounded by :data:`MAX_VARIANTS`) and *this* call is stamped by the
-   interpreter -- the trace already wrote the identical pending dynamic
-   state, so the interpreter's writes are idempotent.
+One compiled scalar path
+------------------------
+Every compiled scalar stamp and record -- residual + Jacobian, residual
+only, output collection -- runs one generated **fused** function per
+(variant, MNA system) and task.  Its source splices the variant's kernel
+body (:attr:`~.codegen.KernelSet.parts`) between an index-resolved input
+gather and direct residual/Jacobian accumulation, with every constant
+(solution indices, stamp rows, leaf signs, state keys) baked in.  A stamp
+is therefore one call; the last fused function that succeeded per
+``(mode, task)`` is memoized in :attr:`CompileState.hot` and tried first.
+Telemetry does not change the path: with a session open,
+``hdl.kernel.eval_s`` times the fused call (gather + kernel +
+accumulation).
+
+1. A guard mismatch tries the next variant; when every variant misses, the
+   model is re-traced against the live context (bounded by
+   :data:`MAX_VARIANTS`) and *this* call is stamped by the interpreter --
+   the trace already wrote the identical pending dynamic state, so the
+   interpreter's writes are idempotent.
 2. Kernels differentiate with respect to their *across/unknown leaves*
    (circuit-independent, so compiled kernels are shared process-wide); the
-   wrapper maps each MNA dependency index to ``leaf * (+/-1)`` at stamp
-   time.  Negation is exact in IEEE arithmetic, so compiled Jacobian stamps
-   are bitwise what the AD-dual interpreter produces.  When two leaves land
-   on one index (ports sharing a non-ground node), the scalar path falls
-   back to the interpreter -- the interpreter's in-dual summation order is
-   not reconstructable from per-leaf derivatives.
+   fused function bakes each MNA dependency index as ``leaf * (+/-1)``.
+   Negation is exact in IEEE arithmetic, so compiled Jacobian stamps are
+   bitwise what the AD-dual interpreter produces.  Dense assemblies
+   accumulate into ``ctx.jac``; sparse ones append COO triplets in the
+   order, with the values and the ``!= 0.0`` filter of
+   ``StampContext.add_jac``.
 3. The batched path (``try_stamp_batch``) evaluates the lane-vectorized
    kernel once over ``(B,)`` lanes.  It is only offered for devices whose
    single operating-point variant traced without guards
    (:func:`batch_ready`), which is what lets behavioral devices skip the
    per-lane fallback in campaign batches.
 
-Hot-path layout: each compiled :class:`~.codegen.KernelSet` is wrapped in a
-per-device :class:`_BoundVariant` holding a pre-resolved input-gather plan
-(port objects, parameter sources) and, lazily per MNA system, the stamp
-geometry (node/aux indices and the dependency -> leaf sign map), so a stamp
-is a plan walk plus one generated-kernel call.
+Hand-offs to the interpreter, which stays the bit-identical reference
+(``False``/``None`` from :func:`try_stamp`/:func:`try_record`):
+
+* a parameter that is an AD dual or a bool (``int`` and ``np.float64``
+  bindings are widened to ``float`` in the gather);
+* integrator priming, an unset step (``h <= 0``) or a missing integrator,
+  and an operating-point variant asked to serve a non-DC context;
+* colliding leaves (two ports sharing a non-ground node) on a full stamp
+  -- the interpreter's in-dual summation order is not reconstructable
+  from per-leaf derivatives -- counted as
+  ``hdl.compile.fallback.leaf_collision`` per stamp;
+* arithmetic errors, so the interpreter raises the properly-worded error;
+* for good, per mode: a behaviour the tracer cannot follow, an exhausted
+  re-trace budget, or a variant the fused generator cannot splice
+  (counted by reason, see :data:`FALLBACK_PREFIX`).
 
 Escape hatch: ``SimulationOptions(behavioral_compile=False)`` forces the
 interpreter; every stamp reads it from its context's options.
@@ -58,9 +81,11 @@ MAX_VARIANTS = 8
 
 #: Registry counter prefix of compiled -> interpreter fallbacks, one counter
 #: per reason: ``trace_error`` (a behaviour the tracer cannot follow),
-#: ``max_variants`` (re-trace budget exhausted) and ``guarded_per_lane``
-#: (batch lanes stamped one at a time because the compiled variant is
-#: guarded, see :func:`count_per_lane`).
+#: ``max_variants`` (re-trace budget exhausted), ``unfusable`` (a variant the
+#: fused generator cannot splice; once per mode disabled),
+#: ``leaf_collision`` (one full stamp handed over because two leaves land on
+#: one unknown) and ``guarded_per_lane`` (batch lanes stamped one at a time
+#: because the compiled variant is guarded, see :func:`count_per_lane`).
 FALLBACK_PREFIX = "hdl.compile.fallback."
 
 
@@ -79,9 +104,9 @@ class CompileState:
         self.disabled: set[str] = set()
         self.trace_count: dict[str, int] = {}
         self.probed = False
-        #: ``(mode, want_jacobian) -> (system, fused)``: the fused function
-        #: that last stamped successfully, tried first on the next call.
-        self.hot: dict[tuple[str, bool], tuple] = {}
+        #: ``(mode, task) -> (system, fused)``: the fused function that last
+        #: served ``task`` successfully, tried first on the next call.
+        self.hot: dict[tuple[str, str], tuple] = {}
 
 
 def state_for(device) -> CompileState:
@@ -136,18 +161,20 @@ class _BoundVariant:
 class _Geometry:
     """Per-(bound variant, MNA system) stamp indices.
 
-    ``dep_map`` is the collision-free scalar fast path: one
+    ``dep_map`` is the collision-free scalar map: one
     ``(dependency index, leaf position, negate)`` triple per dependency that
     a leaf feeds, in the interpreter's dependency order.  ``entries`` keeps
     the full index -> [(leaf, sign)] map for the batched path, which sums
     colliding leaves explicitly.  ``plan`` is the bound gather plan with
     across/unknown sources resolved to solution-vector indices (-1 =
-    ground), so scalar input gathering indexes ``ctx.x`` directly.
+    ground), so the fused gather indexes ``ctx.x`` directly.  ``fused``
+    maps each task (``"jac"``, ``"value"``, ``"record"``) to its fused
+    function; ``"jac"`` is None when leaves collide, and ``fusable`` is
+    False when the generator could not splice the variant.
     """
 
     __slots__ = ("system", "deps", "entries", "collide", "dep_map",
-                 "contribs", "eqs", "plan", "tran", "fused_jac",
-                 "fused_value", "fused_record")
+                 "contribs", "eqs", "plan", "tran", "fused", "fusable")
 
     def __init__(self, device, bound: _BoundVariant, ctx) -> None:
         kernels = bound.kernels
@@ -185,13 +212,19 @@ class _Geometry:
             for name in kernels.contrib_ports)
         self.eqs = tuple(ctx.aux_index(device, name)
                          for name in kernels.eq_names)
-        self.fused_jac = _build_fused(device, bound, self, "jac")
-        self.fused_value = _build_fused(device, bound, self, "value")
-        self.fused_record = _build_fused(device, bound, self, "record")
+        self.fused = {task: _build_fused(device, bound, self, task)
+                      for task in ("jac", "value", "record")}
+        self.fusable = all(fn is not None or (task == "jac" and self.collide)
+                           for task, fn in self.fused.items())
 
 
 def _emit_gather(bound: _BoundVariant, geo: _Geometry, namespace, emit) -> bool:
-    """Emit the index-resolved input gather; False if not fusable."""
+    """Emit the index-resolved input gather; False if not fusable.
+
+    Parameters that are not ``float`` go through :func:`_check_param`:
+    other plain reals are widened, duals and bools raise
+    :class:`_ParamFallback`, which hands the call to the interpreter.
+    """
     if any(tag in ("a", "u") for tag, _, _ in geo.plan):
         emit("    x = ctx.x")
     for pos, (tag, a, b) in enumerate(geo.plan):
@@ -201,16 +234,17 @@ def _emit_gather(bound: _BoundVariant, geo: _Geometry, namespace, emit) -> bool:
             emit(f"    i{pos} = {ea} - {eb}")
         elif tag == "u":
             emit(f"    i{pos} = float(x[{a}])")
-        elif tag == "b":
-            if not isinstance(b, str) or not b.isidentifier():
+        elif tag in ("b", "d"):
+            if tag == "d":
+                source = f"device.params[{a!r}]"
+            elif isinstance(b, str) and b.isidentifier():
+                namespace[f"_o{pos}"] = a
+                source = f"_o{pos}.{b}"
+            else:
                 return False
-            owner = f"_o{pos}"
-            namespace[owner] = a
-            emit(f"    i{pos} = {owner}.{b}")
-            emit(f"    if type(i{pos}) is not float: return False")
-        elif tag == "d":
-            emit(f"    i{pos} = device.params[{a!r}]")
-            emit(f"    if type(i{pos}) is not float: return False")
+            emit(f"    i{pos} = {source}")
+            emit(f"    if type(i{pos}) is not float:")
+            emit(f"        i{pos} = _check_param(i{pos})")
         elif tag == "c":
             emit(f"    i{pos} = {float(a)!r}")
         else:  # time
@@ -230,10 +264,11 @@ def _splice_kernel(bound: _BoundVariant, geo: _Geometry, namespace, emit,
     ``ctx.ddt``/``ctx.integ`` calls are replaced with the exact arithmetic
     and pending-state writes of ``Integrator.differentiate``/``integrate``
     (both methods, non-priming), with state keys pre-bound as constants.
-    Priming, a missing integrator or an unset step defer to the generic
-    path (``return False``), whose context calls behave -- and raise --
-    exactly like the interpreter's.  Returns False when a state call has an
-    unexpected shape, making the variant unfusable.
+    Priming, a missing integrator, an unset step and non-DC contexts of an
+    operating-point variant hand the call to the interpreter (``return
+    False``), whose context calls behave -- and raise -- as specified.
+    Returns False when a state call has an unexpected shape, making the
+    variant unfusable.
     """
     ddt_lines = [line for line in body if "ctx.ddt(" in line]
     integ_lines = [line for line in body if "ctx.integ(" in line]
@@ -318,31 +353,30 @@ def _build_fused(device, bound: _BoundVariant, geo: _Geometry, task: str):
 
     ``task`` is ``"jac"`` (full stamp), ``"value"`` (residual-only stamp) or
     ``"record"`` (output collection).  The generated source splices the
-    kernel body between an index-resolved input gather and direct dense
+    kernel body between an index-resolved input gather and direct
     residual/Jacobian accumulation -- all constants (solution indices,
-    stamp rows, leaf signs) baked in -- so the steady-state stamp is a
-    single generated function call.  Accumulation order, the ``!= 0.0``
-    derivative filter and the exact ``+= value`` / ``-= value`` forms
-    replicate ``StampContext.add_*`` element by element, keeping results
-    bitwise identical.  Returns None when the variant cannot be fused
-    (colliding leaves, exotic parameter bindings).
+    stamp rows, leaf signs) baked in -- so a stamp is a single generated
+    function call.  Accumulation order, the ``!= 0.0`` derivative filter
+    and the exact ``+= value`` / ``-= value`` forms replicate
+    ``StampContext.add_*`` element by element, dense or sparse, keeping
+    results bitwise identical.  Returns None when the variant cannot be
+    fused (colliding leaves on ``"jac"``, exotic parameter bindings,
+    unexpected state-call shapes).
 
-    Contract of the generated function: truthy result (``True`` / the
-    record dict) = done, ``None`` = a guard failed, ``False`` = the generic
-    path must take over (non-float parameter, sparse Jacobian assembly).
+    Contract of the generated function: ``True`` / the record dict = done,
+    ``None`` = a guard failed, ``False`` = the interpreter must serve this
+    call (see the module docstring); it raises :class:`_ParamFallback` for
+    dual or bool parameters.
     """
     if task == "jac" and geo.collide:
         return None
     kernels = bound.kernels
     preamble, body, value_names, extras, rows = (
         kernels.parts["jac" if task == "jac" else "value"])
-    namespace = {"math": math, "np": np, "_keys": bound.keys}
-    lines = [f"def fused(ctx, device):"]
+    namespace = {"math": math, "np": np, "_keys": bound.keys,
+                 "_check_param": _check_param}
+    lines = ["def fused(ctx, device):"]
     emit = lines.append
-    if task == "jac":
-        # Sparse assemblies accumulate COO triplets; the generic path
-        # handles them through ctx.add_jac.
-        emit("    if ctx.use_sparse: return False")
     if not _emit_gather(bound, geo, namespace, emit):
         return None
     if not _splice_kernel(bound, geo, namespace, emit, preamble, body):
@@ -355,50 +389,67 @@ def _build_fused(device, bound: _BoundVariant, geo: _Geometry, task: str):
             items.append(
                 f"{f'{rec_name}({device.name})'!r}: float(np.real({r}))")
         emit(f"    return {{{', '.join(items)}}}")
-        source = "\n".join(lines) + "\n"
-        exec(compile(source, "<behavioral-fused-record>", "exec"), namespace)
-        return namespace["fused"]
+        return _exec_fused(lines, namespace)
+    # Jacobian groups -- (derivative, [(row, col, negate)]) per (output,
+    # dependency) -- in StampContext.add_* order.
+    groups = []
     emit("    res = ctx.res")
-    if task == "jac":
-        emit("    jac = ctx.jac")
-
-    def emit_res(idx: int, v: str, negate: bool) -> None:
-        if idx >= 0:
-            emit(f"    res[{idx}] {'-=' if negate else '+='} {v}")
-
-    def emit_jac(target: str, pos: int, neg: bool, row) -> None:
-        # dval = (+/-) row[pos]; the generic path filters `dval != 0.0`,
-        # which is sign-independent, and `a += -d` == `a -= d` in IEEE.
-        d = row[pos]
-        if d == "0.0":
-            return
-        stmt = f"jac[{target}] {'-=' if neg else '+='} {d}"
-        if d == "1.0":
-            emit(f"    {stmt}")
-        else:
-            emit(f"    if {d} != 0.0: {stmt}")
-
-    out_pos = 0
-    for ip, in_ in geo.contribs:
+    targets = list(geo.contribs) + [(row, -1) for row in geo.eqs]
+    for out_pos, (ip, in_) in enumerate(targets):
         v = value_names[out_pos]
-        emit_res(ip, v, False)
-        emit_res(in_, v, True)
+        if ip >= 0:
+            emit(f"    res[{ip}] += {v}")
+        if in_ >= 0:
+            emit(f"    res[{in_}] -= {v}")
         if task == "jac":
             for idx, pos, neg in geo.dep_map:
-                if ip >= 0:
-                    emit_jac(f"{ip}, {idx}", pos, neg, rows[out_pos])
-                if in_ >= 0:
-                    emit_jac(f"{in_}, {idx}", pos, not neg, rows[out_pos])
-        out_pos += 1
-    for row_index in geo.eqs:
-        emit_res(row_index, value_names[out_pos], False)
-        if task == "jac":
-            for idx, pos, neg in geo.dep_map:
-                emit_jac(f"{row_index}, {idx}", pos, neg, rows[out_pos])
-        out_pos += 1
+                items = [(r, idx, n) for r, n in ((ip, neg), (in_, not neg))
+                         if r >= 0]
+                if items and rows[out_pos][pos] != "0.0":
+                    groups.append((rows[out_pos][pos], items))
+    if task == "jac":
+        # dval = (+/-) d: the `dval != 0.0` filter is sign-independent and
+        # `a += -d` == `a -= d` in IEEE.  Sparse assemblies append the COO
+        # triplets `add_jac` would, in the same order.
+        dense, sparse = [], []
+        for d, items in groups:
+            test = "" if d == "1.0" else f"if {d} != 0.0: "
+            dense.append(test + "; ".join(
+                f"jac[{r}, {c}] {'-=' if n else '+='} {d}"
+                for r, c, n in items))
+            rs = ", ".join(str(r) for r, _, _ in items)
+            cs = ", ".join(str(c) for _, c, _ in items)
+            vs = ", ".join(("-" if n else "") + d for _, _, n in items)
+            sparse.append(f"{test}_jr += ({rs},); _jc += ({cs},); "
+                          f"_jv += ({vs},)")
+        emit("    if ctx.use_sparse:")
+        emit("        _jr, _jc, _jv = ctx._jac_rows, ctx._jac_cols,"
+             " ctx._jac_vals")
+        lines.extend("        " + line for line in sparse)
+        emit("        return True")
+        emit("    jac = ctx.jac")
+        lines.extend("    " + line for line in dense)
     emit("    return True")
+    return _exec_fused(lines, namespace)
+
+
+#: Process-wide ``source -> code object`` memo of the fused functions (the
+#: constants they bind live in each call's namespace, not in the source):
+#: every rebuild of one netlist and every campaign point compiles once.
+#: Cleared when full, like the kernel cache.
+_FUSED_CODE: dict[str, object] = {}
+_FUSED_CODE_LIMIT = 1024
+
+
+def _exec_fused(lines: list[str], namespace: dict):
     source = "\n".join(lines) + "\n"
-    exec(compile(source, "<behavioral-fused-stamp>", "exec"), namespace)
+    code = _FUSED_CODE.get(source)
+    if code is None:
+        if len(_FUSED_CODE) >= _FUSED_CODE_LIMIT:
+            _FUSED_CODE.clear()
+        code = _FUSED_CODE[source] = compile(source, "<behavioral-fused>",
+                                             "exec")
+    exec(code, namespace)
     return namespace["fused"]
 
 
@@ -410,49 +461,32 @@ def _geometry(device, bound: _BoundVariant, ctx) -> _Geometry:
 
 
 def _check_param(value) -> float:
+    """``float(value)`` of a plain real; dual/bool/other raise
+    :class:`_ParamFallback`."""
     if isinstance(value, (bool, Dual)) or not isinstance(value, numbers.Real):
         raise _ParamFallback()
     return float(value)
 
 
-def _gather(device, geo: _Geometry, ctx) -> list:
-    """Kernel inputs in layout order (scalar contexts; index-resolved plan)."""
-    x = ctx.x
-    values = []
-    for tag, a, b in geo.plan:
-        if tag == "a":
-            va = 0.0 if a < 0 else float(x[a])
-            vb = 0.0 if b < 0 else float(x[b])
-            values.append(va - vb)
-        elif tag == "b":
-            v = getattr(a, b)
-            values.append(v if type(v) is float else _check_param(v))
-        elif tag == "u":
-            values.append(float(x[a]))
-        elif tag == "d":
-            v = device.params[a]
-            values.append(v if type(v) is float else _check_param(v))
-        elif tag == "c":
-            values.append(a)
-        else:  # time
-            values.append(ctx.time)
-    return values
+def _gather_nodes(device, bound: _BoundVariant, ctx, lanes: bool = False
+                  ) -> list:
+    """Node-based kernel inputs in layout order (batch and dF/dp contexts).
 
-
-def _gather_nodes(device, bound: _BoundVariant, ctx) -> list:
-    """Node-based gather for batch contexts (``across`` returns lane arrays)."""
+    ``across`` returns lane arrays in batch contexts; with ``lanes`` a
+    parameter may also be a swept ``(B,)`` column.
+    """
     values = []
     for tag, a, b in bound.plan:
         if tag == "a":
             values.append(ctx.across(a) - ctx.across(b))
-        elif tag == "b":
-            v = getattr(a, b)
-            values.append(v if type(v) is float else _check_param(v))
+        elif tag in ("b", "d"):
+            v = getattr(a, b) if tag == "b" else device.params[a]
+            if type(v) is not float:
+                v = np.asarray(v, dtype=float) \
+                    if lanes and isinstance(v, np.ndarray) else _check_param(v)
+            values.append(v)
         elif tag == "u":
             values.append(ctx.aux_value(device, a))
-        elif tag == "d":
-            v = device.params[a]
-            values.append(v if type(v) is float else _check_param(v))
         elif tag == "c":
             values.append(a)
         else:  # time
@@ -510,7 +544,25 @@ def _run_kernel(kernel, ctx, keys, inputs):
         telemetry.registry.observe("hdl.kernel.eval_s", perf_counter() - t0)
 
 
-def _scalar_eligible(device, ctx) -> bool:
+def _run_fused(fused, ctx, device):
+    """Call one fused function; False (interpreter) when it raised.
+
+    The interpreter performs the same arithmetic, so it raises the
+    properly-worded error (or survives the edge case).  With telemetry on,
+    ``hdl.kernel.eval_s`` times the whole call.
+    """
+    t0 = perf_counter() if telemetry.enabled() else None
+    try:
+        return fused(ctx, device)
+    except (ZeroDivisionError, OverflowError, ValueError, _ParamFallback):
+        return False
+    finally:
+        if t0 is not None:
+            telemetry.registry.observe("hdl.kernel.eval_s",
+                                       perf_counter() - t0)
+
+
+def _scalar_eligible(ctx) -> bool:
     if type(ctx) is not StampContext:
         # Batch and sensitivity-seeded subclasses have their own contracts.
         return False
@@ -523,37 +575,43 @@ def _scalar_eligible(device, ctx) -> bool:
     return True
 
 
-def _select_output(state: CompileState, device, mode: str, ctx,
-                   want_jacobian: bool):
-    """Run the first variant whose guards hold; None means interpreter."""
+def _serve(device, ctx, task: str):
+    """Run the fused ``task`` function of the first variant whose guards
+    hold: its result (``True`` / the record dict), or False when the
+    interpreter must serve this call."""
+    state = state_for(device)
+    mode = "tran" if ctx.is_transient else "op"
+    if mode in state.disabled:
+        return False
+    hot_key = (mode, task)
+    hot = state.hot.get(hot_key)
+    if hot is not None and hot[0] is ctx.system:
+        out = _run_fused(hot[1], ctx, device)
+        if out is not None:
+            return out
     bounds = state.variants.get(mode)
     if bounds is None:
         _retrace(device, state, mode, ctx)
-        return None
-    timed = telemetry.enabled()
+        return False
     for bound in bounds:
-        geo = bound.geometry
-        if geo is None or geo.system is not ctx.system:
-            geo = bound.geometry = _Geometry(device, bound, ctx)
-        try:
-            inputs = _gather(device, geo, ctx)
-        except _ParamFallback:
-            return None
-        kernels = bound.kernels
-        kernel = kernels.scalar if want_jacobian else kernels.value
-        try:
-            if timed:
-                out = _run_kernel(kernel, ctx, bound.keys, inputs)
-            else:
-                out = kernel(ctx, bound.keys, *inputs)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            # The interpreter performs the same arithmetic; let it raise the
-            # properly-worded error (or survive, for dual-order edge cases).
-            return None
+        geo = _geometry(device, bound, ctx)
+        if not geo.fusable:
+            _fall_back(state, mode, "unfusable")
+            return False
+        fused = geo.fused[task]
+        if fused is None:
+            # Leaves collide on one unknown: only the interpreter's in-dual
+            # summation reproduces those derivatives bitwise.
+            telemetry.registry.inc(f"{FALLBACK_PREFIX}leaf_collision")
+            return False
+        out = _run_fused(fused, ctx, device)
         if out is not None:
-            return bound, geo, out
+            if out is not False:
+                state.hot[hot_key] = (ctx.system, fused)
+            return out
+    # Every variant's guards missed.
     _retrace(device, state, mode, ctx)
-    return None
+    return False
 
 
 def try_stamp(device, ctx) -> bool:
@@ -562,130 +620,17 @@ def try_stamp(device, ctx) -> bool:
         if isinstance(ctx, BatchStampContext):
             return try_stamp_batch(device, ctx)
         return False
-    if ctx.keep_residual_duals or not compilation_enabled(ctx.options):
+    if not _scalar_eligible(ctx):
         return False
-    integrator = ctx.integrator
-    if integrator is not None and integrator.capture_raw:
-        return False
-    state = state_for(device)
-    mode = "tran" if ctx.is_transient else "op"
-    if mode in state.disabled:
-        return False
-    want_jacobian = ctx.want_jacobian
-    bounds = state.variants.get(mode)
-    if bounds is None:
-        _retrace(device, state, mode, ctx)
-        return False
-    if not telemetry.enabled():
-        # Steady-state fast path: one fused generated function per variant,
-        # with the last successful one memoized and tried first.
-        hot_key = (mode, want_jacobian)
-        hot = state.hot.get(hot_key)
-        if hot is not None and hot[0] is ctx.system:
-            try:
-                out = hot[1](ctx, device)
-            except (ZeroDivisionError, OverflowError, ValueError):
-                return False
-            if out is True:
-                return True
-        use_generic = False
-        for bound in bounds:
-            geo = bound.geometry
-            if geo is None or geo.system is not ctx.system:
-                geo = bound.geometry = _Geometry(device, bound, ctx)
-            fused = geo.fused_jac if want_jacobian else geo.fused_value
-            if fused is None:
-                use_generic = True
-                break
-            try:
-                out = fused(ctx, device)
-            except (ZeroDivisionError, OverflowError, ValueError):
-                # The interpreter performs the same arithmetic; let it raise
-                # the properly-worded error (or survive the edge case).
-                return False
-            if out is True:
-                state.hot[hot_key] = (ctx.system, fused)
-                return True
-            if out is False:
-                # Parameter is not a plain float: the generic path decides
-                # between widening (ints) and interpreter fallback (duals).
-                use_generic = True
-                break
-        if not use_generic:
-            # Every fused variant's guards missed.
-            _retrace(device, state, mode, ctx)
-            return False
-    picked = _select_output(state, device, mode, ctx, want_jacobian)
-    if picked is None:
-        return False
-    bound, geo, (values, extras) = picked
-    if want_jacobian and geo.collide:
-        # Leaves collide on one unknown: only the interpreter's in-dual
-        # summation reproduces those derivatives bitwise.
-        return False
-    out_pos = 0
-    for ip, in_ in geo.contribs:
-        ctx.add_through(ip, in_, values[out_pos])
-        if want_jacobian:
-            dlist = extras[out_pos]
-            for idx, pos, neg in geo.dep_map:
-                dval = -dlist[pos] if neg else dlist[pos]
-                if dval != 0.0:
-                    ctx.add_through_jac(ip, in_, idx, dval)
-        out_pos += 1
-    for row in geo.eqs:
-        ctx.add_res(row, values[out_pos])
-        if want_jacobian:
-            dlist = extras[out_pos]
-            for idx, pos, neg in geo.dep_map:
-                dval = -dlist[pos] if neg else dlist[pos]
-                if dval != 0.0:
-                    ctx.add_jac(row, idx, dval)
-        out_pos += 1
-    return True
+    return _serve(device, ctx, "jac" if ctx.want_jacobian else "value")
 
 
 def try_record(device, ctx):
     """Compiled ``BehavioralDevice.record``; None means use the interpreter."""
-    if not _scalar_eligible(device, ctx):
+    if not _scalar_eligible(ctx):
         return None
-    state = state_for(device)
-    mode = "tran" if ctx.is_transient else "op"
-    if mode in state.disabled:
-        return None
-    bounds = state.variants.get(mode)
-    if bounds and not telemetry.enabled():
-        # Steady-state fast path: fused value kernel + baked output names.
-        for bound in bounds:
-            geo = bound.geometry
-            if geo is None or geo.system is not ctx.system:
-                geo = bound.geometry = _Geometry(device, bound, ctx)
-            fused = geo.fused_record
-            if fused is None:
-                break
-            try:
-                out = fused(ctx, device)
-            except (ZeroDivisionError, OverflowError, ValueError):
-                return None
-            if out is None:
-                continue
-            if out is False:
-                break
-            return out
-        else:
-            _retrace(device, state, mode, ctx)
-            return None
-    picked = _select_output(state, device, mode, ctx, want_jacobian=False)
-    if picked is None:
-        return None
-    bound, _geo, (values, records) = picked
-    kernels = bound.kernels
-    outputs: dict[str, float] = {}
-    for port_name, value in zip(kernels.contrib_ports, values):
-        outputs[f"i({device.name}.{port_name})"] = float(value)
-    for rec_name, value in zip(kernels.record_names, records):
-        outputs[f"{rec_name}({device.name})"] = float(np.real(value))
-    return outputs
+    out = _serve(device, ctx, "record")
+    return None if out is False else out
 
 
 # --------------------------------------------------------------------------- #
@@ -737,28 +682,9 @@ def try_stamp_batch(device, ctx: BatchStampContext) -> bool:
         return False
     kernels = bound.kernels
     try:
-        inputs = _gather_nodes(device, bound, ctx)
+        inputs = _gather_nodes(device, bound, ctx, lanes=True)
     except _ParamFallback:
-        # Swept (B,) parameter columns: re-fetch allowing arrays.
-        inputs = []
-        for tag, a, b in bound.plan:
-            if tag in ("b", "d"):
-                value = getattr(a, b) if tag == "b" else device.params[a]
-                if isinstance(value, np.ndarray):
-                    inputs.append(np.asarray(value, dtype=float))
-                elif isinstance(value, (bool, Dual)) \
-                        or not isinstance(value, numbers.Real):
-                    return False
-                else:
-                    inputs.append(float(value))
-            elif tag == "a":
-                inputs.append(ctx.across(a) - ctx.across(b))
-            elif tag == "u":
-                inputs.append(ctx.aux_value(device, a))
-            elif tag == "c":
-                inputs.append(a)
-            else:
-                inputs.append(ctx.time)
+        return False
     values, derivs = _run_kernel(kernels.vector(), ctx, bound.keys, inputs)
     geo = _geometry(device, bound, ctx)
     # Stamp in the serial (output, dependency) order so same-cell Jacobian
@@ -805,7 +731,7 @@ def parameter_gradients(device, ctx, parameter_names=None):
     operators contribute ``coefficient * dp`` through the active
     discretization and baked initial values are parameter-independent.
     """
-    if not _scalar_eligible(device, ctx):
+    if not _scalar_eligible(ctx):
         return None
     state = state_for(device)
     mode = "tran" if ctx.is_transient else "op"

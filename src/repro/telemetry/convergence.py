@@ -13,8 +13,8 @@ storage contract: each category *stores* at most its cap of records (the
 earliest ones -- the list simply stops growing) while the matching
 ``*_total`` counter keeps *counting* every record unconditionally, so
 ``newton_total > len(newton)`` is how a consumer detects truncation.  The
-shared default cap comes from ``SimulationOptions.telemetry_max_records``
-(per-category overrides via the keyword-only constructor arguments).
+shared default cap is :data:`MAX_RECORDS` (per-category overrides via the
+keyword-only constructor arguments).
 Analyses attach an instance to their result's telemetry report behind the
 ``SimulationOptions.telemetry`` knob.
 """
@@ -24,7 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 __all__ = ["NewtonTrace", "StepRecord", "IterateRecord",
-           "ConvergenceDiagnostics"]
+           "ConvergenceDiagnostics", "MAX_RECORDS"]
+
+#: Default storage cap per record category (also caps the Newton
+#: workspace's health records).
+MAX_RECORDS = 10000
 
 
 @dataclass
@@ -90,7 +94,7 @@ class ConvergenceDiagnostics:
     storage-vs-count contract.
     """
 
-    def __init__(self, max_records: int = 10000, *,
+    def __init__(self, max_records: int = MAX_RECORDS, *,
                  max_newton: int | None = None,
                  max_steps: int | None = None,
                  max_iterates: int | None = None) -> None:

@@ -74,6 +74,44 @@ def build_one_port(behavior, v: float = 1.0) -> Circuit:
     return circuit
 
 
+def build_shared_node() -> Circuit:
+    """Two behavioral ports on one node: their leaves collide."""
+    from repro.circuit.devices.behavioral import BehavioralDevice, Port
+    from repro.natures import ELECTRICAL
+
+    circuit = Circuit()
+    circuit.voltage_source("V1", "in", "0", 1.0)
+    circuit.resistor("R1", "in", "out", 1e3)
+    node = circuit.electrical_node("out")
+
+    def behavior(ctx):
+        ctx.contribute("a", 1e-6 * ctx.across("a") * ctx.across("b"))
+
+    circuit.add(BehavioralDevice(
+        "G1", [Port("a", node, circuit.ground, ELECTRICAL),
+               Port("b", node, circuit.ground, ELECTRICAL)], behavior))
+    return circuit
+
+
+def build_unfusable() -> Circuit:
+    """A parameter bound to an attribute name that is no identifier."""
+    from repro.circuit.devices.behavioral import BehavioralDevice, Port
+    from repro.natures import ELECTRICAL
+
+    owner = type("Owner", (), {})()
+    setattr(owner, "g value", 1e-6)
+
+    def behavior(ctx):
+        ctx.contribute("p", getattr(owner, "g value") * ctx.across("p"))
+
+    circuit = build_divider({"r_top": 1e3})
+    circuit.add(BehavioralDevice(
+        "G1", [Port("p", circuit.electrical_node("out"), circuit.ground,
+                    ELECTRICAL)], behavior,
+        parameter_bindings={"g": (owner, "g value")}))
+    return circuit
+
+
 def untraceable(ctx):
     # float() drops the derivative: the interpreter still converges since
     # the 1 kOhm resistor dominates the Jacobian.
@@ -112,6 +150,8 @@ class TestMetricsModule:
         OperatingPointAnalysis(build_behavioral({"v": 1.0})).run()  # compile
         OperatingPointAnalysis(build_behavioral({"v": 2.0})).run()  # cache hit
         OperatingPointAnalysis(build_one_port(untraceable)).run()
+        OperatingPointAnalysis(build_shared_node()).run()
+        OperatingPointAnalysis(build_unfusable()).run()
         circuit = build_one_port(guarded)
         with ParameterColumns(circuit, [("V1", "dc", [0.5, 2.0])]) as columns:
             batched_operating_points(circuit, SimulationOptions(), columns)

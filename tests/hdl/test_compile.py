@@ -7,7 +7,10 @@ gradients -- must be **bitwise identical** with ``behavioral_compile`` on
 and off.  The corpus below covers the behavioral device idioms used across
 the suite: linear and nonlinear contributions, ``ddt``/``integ`` state,
 extra unknowns with equations, records, data-dependent guards, and the
-forensics/health-check instrumentation paths.
+forensics/health-check instrumentation paths.  It runs on every
+:data:`AXES` entry: the fused stamp is the only compiled scalar path, so
+the contract must hold with telemetry timing it, with sparse (COO-triplet)
+Jacobian assembly and with ``np.float64``/``int`` parameters.
 """
 
 from __future__ import annotations
@@ -43,6 +46,46 @@ from repro.transducers import (ElectrodynamicTransducer,
 
 COMPILED = SimulationOptions(behavioral_compile=True)
 INTERP = SimulationOptions(behavioral_compile=False)
+
+#: Axes of the compiled-vs-interpreter contract: option overrides, or a
+#: type every behavioral parameter is re-bound as (``int`` only where the
+#: value is integral).
+AXES = {
+    "default": {},
+    "telemetry": {"telemetry": "summary"},
+    "sparse": {"linear_solver": "sparse"},
+    "float64": np.float64,
+    "int": int,
+}
+
+
+class _OnEveryAxis:
+    """Mixin re-running an inherited corpus class on every non-default
+    :data:`AXES` entry (test ids gain the axis name)."""
+
+    @pytest.fixture(autouse=True, params=[a for a in AXES if a != "default"])
+    def _axis(self, request):
+        self.axis = request.param
+
+
+def axis_options(axis: str, compiled: bool, **opts) -> SimulationOptions:
+    overrides = AXES[axis] if isinstance(AXES[axis], dict) else {}
+    return SimulationOptions(behavioral_compile=compiled, **overrides, **opts)
+
+
+def retype(circuit: Circuit, axis: str) -> Circuit:
+    """Re-bind the circuit's behavioral parameters as the axis's type."""
+    cast = AXES[axis]
+    if isinstance(cast, dict):
+        return circuit
+    for device in circuit:
+        if not isinstance(device, BehavioralDevice):
+            continue
+        for name in device.parameter_names():
+            value = device.get_parameter(name)
+            if cast is np.float64 or float(value).is_integer():
+                device.set_parameter(name, cast(value))
+    return circuit
 
 
 # ------------------------------------------------------------------- corpus
@@ -142,20 +185,19 @@ def guarded_circuit() -> Circuit:
     return circuit
 
 
-def _op_pair(build):
-    return (OperatingPointAnalysis(build(), COMPILED).run(),
-            OperatingPointAnalysis(build(), INTERP).run())
+def _op_pair(build, axis="default"):
+    return [OperatingPointAnalysis(retype(build(), axis),
+                                   axis_options(axis, compiled)).run()
+            for compiled in (True, False)]
 
 
-def _transient_pair(build, t_stop=2e-3, t_step=10e-6, **opts):
-    results = []
-    for base in (COMPILED, INTERP):
-        options = SimulationOptions(
-            behavioral_compile=base.behavioral_compile, **opts)
-        results.append(TransientAnalysis(build(), t_stop=t_stop,
-                                         t_step=t_step,
-                                         options=options).run())
-    return results
+def _transient_pair(build, t_stop=2e-3, t_step=10e-6, axis="default",
+                    **opts):
+    return [TransientAnalysis(retype(build(), axis), t_stop=t_stop,
+                              t_step=t_step,
+                              options=axis_options(axis, compiled,
+                                                   **opts)).run()
+            for compiled in (True, False)]
 
 
 def assert_transients_identical(compiled, interp):
@@ -167,8 +209,10 @@ def assert_transients_identical(compiled, interp):
 
 
 class TestBitIdenticalAnalyses:
+    axis = "default"
+
     def test_operating_point_nonlinear(self):
-        compiled, interp = _op_pair(diode_circuit)
+        compiled, interp = _op_pair(diode_circuit, self.axis)
         assert np.array_equal(compiled.raw, interp.raw)
         assert compiled.iterations == interp.iterations
 
@@ -180,32 +224,35 @@ class TestBitIdenticalAnalyses:
             behavioral_resistor(circuit, "X1", "out", "0", 2e3)
             return circuit
 
-        compiled, interp = _op_pair(build)
+        compiled, interp = _op_pair(build, self.axis)
         assert np.array_equal(compiled.raw, interp.raw)
 
     def test_ac_sweep(self):
-        def run(options):
+        def run(compiled):
             circuit = Circuit()
             circuit.voltage_source("V1", "in", "0", 0.0, ac=1.0)
             behavioral_resistor(circuit, "XR", "in", "out", 1e3)
             behavioral_capacitor(circuit, "XC", "out", "0", 1e-6)
-            return ACAnalysis(circuit, [10.0, 159.0, 5e3], options).run()
+            return ACAnalysis(retype(circuit, self.axis),
+                              [10.0, 159.0, 5e3],
+                              axis_options(self.axis, compiled)).run()
 
-        compiled, interp = run(COMPILED), run(INTERP)
+        compiled, interp = run(True), run(False)
         assert np.array_equal(np.asarray(compiled["v(out)"]),
                               np.asarray(interp["v(out)"]))
 
     def test_transient_rc_with_integ_and_record(self):
-        compiled, interp = _transient_pair(rc_circuit)
+        compiled, interp = _transient_pair(rc_circuit, axis=self.axis)
         assert_transients_identical(compiled, interp)
         assert "q(XQ)" in interp._data
 
     def test_transient_extra_unknown_equation(self):
-        compiled, interp = _transient_pair(inductor_circuit)
+        compiled, interp = _transient_pair(inductor_circuit,
+                                           axis=self.axis)
         assert_transients_identical(compiled, interp)
 
     def test_transient_backward_euler(self):
-        compiled, interp = _transient_pair(rc_circuit,
+        compiled, interp = _transient_pair(rc_circuit, axis=self.axis,
                                            integration_method="backward_euler")
         assert_transients_identical(compiled, interp)
 
@@ -213,22 +260,46 @@ class TestBitIdenticalAnalyses:
         # The drive ramp crosses the v > 2 guard mid-run: the runtime must
         # retrace and compile the second variant, not fall back silently.
         before = hdl_compile.cache_info()["kernels"]
-        compiled, interp = _transient_pair(guarded_circuit, t_stop=4e-3)
+        compiled, interp = _transient_pair(guarded_circuit, t_stop=4e-3,
+                                           axis=self.axis)
         assert_transients_identical(compiled, interp)
         assert hdl_compile.cache_info()["kernels"] >= before
 
     def test_forensics_and_health_paths(self):
-        compiled, interp = _transient_pair(rc_circuit, forensics=True,
-                                           health_check=True)
+        compiled, interp = _transient_pair(rc_circuit, axis=self.axis,
+                                           forensics=True, health_check=True)
         assert_transients_identical(compiled, interp)
 
 
+class TestBitIdenticalOnAxes(_OnEveryAxis, TestBitIdenticalAnalyses):
+    def test_axis_hands_the_interpreter_no_extra_stamps(self, monkeypatch):
+        original = runtime.try_stamp
+        handed = []
+
+        def counting(device, ctx):
+            served = original(device, ctx)
+            handed[-1] += not served
+            return served
+
+        monkeypatch.setattr(runtime, "try_stamp", counting)
+        for axis in ("default", self.axis):
+            handed.append(0)
+            TransientAnalysis(retype(rc_circuit(), axis), t_stop=2e-4,
+                              t_step=10e-6,
+                              options=axis_options(axis, True)).run()
+        assert handed[1] == handed[0]
+
+
 class TestDualSeededGradients:
+    axis = "default"
+
     def test_sensitivities_match_interpreter_bitwise(self):
         params = ["DB.isat", "DB.vt", "R1.resistance"]
         matrices = []
-        for options in (COMPILED, INTERP):
-            analysis = OperatingPointAnalysis(diode_circuit(), options)
+        for compiled in (True, False):
+            analysis = OperatingPointAnalysis(
+                retype(diode_circuit(), self.axis),
+                axis_options(self.axis, compiled))
             matrices.append(
                 analysis.sensitivities(params, ["v(n2)"]).matrix)
         assert np.array_equal(matrices[0], matrices[1])
@@ -248,6 +319,10 @@ class TestDualSeededGradients:
         (_, per_param), = grads.items()
         v = op.voltage("out")
         assert per_param["R"] == pytest.approx(-v / 2e3 ** 2, rel=1e-12)
+
+
+class TestDualSeededGradientsOnAxes(_OnEveryAxis, TestDualSeededGradients):
+    test_parameter_gradients_analytic = None
 
 
 class TestEscapeHatches:
@@ -338,21 +413,27 @@ def transducer_circuit(kind: str, closed_form: bool = False) -> Circuit:
 class TestEnergyMethodTransducers:
     """The energy-method devices compile, bit-identically to the interpreter."""
 
+    axis = "default"
+
     def test_operating_point(self, kind):
-        circuit = transducer_circuit(kind)
-        compiled = OperatingPointAnalysis(circuit, COMPILED).run()
+        circuit = retype(transducer_circuit(kind), self.axis)
+        compiled = OperatingPointAnalysis(
+            circuit, axis_options(self.axis, True)).run()
         state = hdl_compile.state_for(circuit["XT"])
         assert state.variants.get("op") and "op" not in state.disabled
-        interp = OperatingPointAnalysis(transducer_circuit(kind), INTERP).run()
+        interp = OperatingPointAnalysis(
+            retype(transducer_circuit(kind), self.axis),
+            axis_options(self.axis, False)).run()
         assert np.array_equal(compiled.raw, interp.raw)
         assert compiled.iterations == interp.iterations
 
     def test_ac_sweep(self, kind):
-        def run(options):
-            return ACAnalysis(transducer_circuit(kind), [1e2, 1.1e4, 4e4],
-                              options).run()
+        def run(compiled):
+            return ACAnalysis(retype(transducer_circuit(kind), self.axis),
+                              [1e2, 1.1e4, 4e4],
+                              axis_options(self.axis, compiled)).run()
 
-        compiled, interp = run(COMPILED), run(INTERP)
+        compiled, interp = run(True), run(False)
         for name in ("v(a)", "v(m)"):
             assert np.array_equal(np.asarray(compiled[name]),
                                   np.asarray(interp[name])), name
@@ -380,15 +461,17 @@ class TestEnergyMethodTransducers:
             return circuits[-1]
 
         compiled, interp = _transient_pair(build, t_stop=2e-5, t_step=5e-7,
+                                           axis=self.axis,
                                            jacobian_reuse=reuse)
         assert_transients_identical(compiled, interp)
         assert hdl_compile.state_for(circuits[0]["XT"]).variants.get("tran")
 
     def test_dfdp_kernel_matches_seeded_interpreter(self, kind):
-        circuit = transducer_circuit(kind)
-        op = OperatingPointAnalysis(circuit, COMPILED).run()
+        circuit = retype(transducer_circuit(kind), self.axis)
+        options = axis_options(self.axis, True)
+        op = OperatingPointAnalysis(circuit, options).run()
         system = MNASystem(circuit)
-        ctx = system.assemble(op.raw, "op", 0.0, None, COMPILED, 1.0,
+        ctx = system.assemble(op.raw, "op", 0.0, None, options, 1.0,
                               want_jacobian=False)
         device = circuit["XT"]
         grads = hdl_compile.parameter_gradients(device, ctx)
@@ -396,7 +479,8 @@ class TestEnergyMethodTransducers:
         params = TRANSDUCERS[kind][3]
         refs = resolve_parameters(circuit, [f"XT.{p}" for p in params])
         dres = parameter_residual_derivatives(system, op.raw, refs, "op",
-                                              0.0, None, INTERP)
+                                              0.0, None,
+                                              axis_options(self.axis, False))
         rows = {"elec": system.index_of(device.port("elec").p),
                 "mech": system.index_of(device.port("mech").p)}
         for unknown in device.extra_unknowns:
@@ -407,6 +491,11 @@ class TestEnergyMethodTransducers:
         if kind != "electrodynamic":
             # (The gyrator closure captures its coupling at build time.)
             assert np.any(dres[rows["mech"]] != 0.0)
+
+
+class TestEnergyMethodTransducersOnAxes(_OnEveryAxis,
+                                        TestEnergyMethodTransducers):
+    test_ac_matches_table3_closed_form = None
 
 
 def _fallbacks(reason: str) -> float:
@@ -476,6 +565,80 @@ class TestFallbackCounters:
                     if row.startswith("hdl.compile.fallback.trace_error"))
         assert float(line.split()[-1]) >= 1
 
+    def test_figure5_telemetry_hands_over_no_more_stamps(self, monkeypatch):
+        # One compiled path: a telemetry session times the fused stamps, it
+        # does not route them anywhere else.
+        original = runtime.try_stamp
+        handed = {"off": 0, "summary": 0}
+        level = ["off"]
+
+        def counting(device, ctx):
+            served = original(device, ctx)
+            if not served:
+                handed[level[0]] += 1
+            return served
+
+        monkeypatch.setattr(runtime, "try_stamp", counting)
+        for level[0] in handed:
+            circuit = build_behavioral_system(
+                PAPER_PARAMETERS, Step(0.0, 10.0, ramp=1e-4))
+            TransientAnalysis(circuit, t_stop=2e-3, t_step=2e-4,
+                              options=SimulationOptions(
+                                  telemetry=level[0])).run()
+        assert handed["summary"] <= handed["off"]
+
+    def test_leaf_collision_is_counted(self):
+        def build():
+            # Two ports on one node: both across leaves feed one unknown.
+            circuit = Circuit()
+            circuit.voltage_source("V1", "in", "0", 2.0)
+            circuit.resistor("R1", "in", "out", 1e3)
+            node = circuit.electrical_node("out")
+
+            def behavior(ctx):
+                ctx.contribute("a", 1e-3 * ctx.across("a") * ctx.across("b"))
+
+            circuit.add(BehavioralDevice(
+                "XC", [Port("a", node, circuit.ground, ELECTRICAL),
+                       Port("b", node, circuit.ground, ELECTRICAL)],
+                behavior))
+            return circuit
+
+        before = _fallbacks("leaf_collision")
+        compiled, interp = _op_pair(build)
+        assert np.array_equal(compiled.raw, interp.raw)
+        # Once per full stamp after the first, which traces.
+        assert _fallbacks("leaf_collision") == \
+            before + compiled.iterations - 1
+
+    def test_unfusable_variant_is_counted(self):
+        def build():
+            # A binding attribute that is no identifier cannot be spliced
+            # into generated source.
+            owner = type("Owner", (), {})()
+            setattr(owner, "g value", 1e-3)
+
+            def behavior(ctx):
+                ctx.contribute("e", getattr(owner, "g value")
+                               * ctx.across("e"))
+
+            circuit = Circuit()
+            circuit.voltage_source("V1", "in", "0", 2.0)
+            circuit.resistor("R1", "in", "out", 1e3)
+            circuit.add(BehavioralDevice(
+                "XU", [Port("e", circuit.electrical_node("out"),
+                            circuit.ground, ELECTRICAL)], behavior,
+                parameter_bindings={"g": (owner, "g value")}))
+            return circuit
+
+        before = _fallbacks("unfusable")
+        circuit = build()
+        compiled = OperatingPointAnalysis(circuit, COMPILED).run()
+        interp = OperatingPointAnalysis(build(), INTERP).run()
+        assert np.array_equal(compiled.raw, interp.raw)
+        assert "op" in hdl_compile.state_for(circuit["XU"]).disabled
+        assert _fallbacks("unfusable") == before + 1
+
     def test_max_variants_budget_is_counted(self, monkeypatch):
         monkeypatch.setattr(runtime, "MAX_VARIANTS", 1)
         before = _fallbacks("max_variants")
@@ -503,6 +666,32 @@ class TestKernelCacheBound:
             hdl_compile.compile_device(device)
             assert hdl_compile.cache_info()["kernels"] <= 3
         hdl_compile.clear_cache()
+
+    def test_fused_code_cache_never_exceeds_limit(self, monkeypatch):
+        monkeypatch.setattr(runtime, "_FUSED_CODE_LIMIT", 3)
+        monkeypatch.setattr(runtime, "_FUSED_CODE", {})
+        for k in range(4):
+            def build(scale=1.0 + k):
+                circuit = Circuit()
+                circuit.voltage_source("V1", "a", "0", 1.0)
+                circuit.add(BehavioralDevice(
+                    "XK", [Port("e", circuit.electrical_node("a"),
+                                circuit.ground, ELECTRICAL)],
+                    lambda ctx: ctx.contribute("e", scale * ctx.across("e"))))
+                return circuit
+
+            compiled, interp = _op_pair(build)
+            assert np.array_equal(compiled.raw, interp.raw)
+            assert len(runtime._FUSED_CODE) <= 3
+
+    def test_rebuilt_netlist_shares_fused_code(self):
+        codes = []
+        for _ in range(2):
+            circuit = diode_circuit()
+            OperatingPointAnalysis(circuit, COMPILED).run()
+            (bound,) = hdl_compile.state_for(circuit["DB"]).variants["op"]
+            codes.append(bound.geometry.fused["jac"].__code__)
+        assert codes[0] is codes[1]
 
 
 class TestIRPasses:
