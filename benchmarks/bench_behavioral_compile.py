@@ -16,7 +16,9 @@ compiler's two contracts:
   (the compiled kernels replicate the interpreter's IEEE arithmetic
   operation by operation), and
 * the compiled transient is at least **5x faster** than the interpreted
-  one (min-of-``repeats`` wall clock on both sides).
+  one (wall clock, the minimum on each side over ``repeats`` interleaved
+  compiled/interpreted pairs, so a slow spell of a shared host hits both
+  sides alike).
 
 Run standalone (``python benchmarks/bench_behavioral_compile.py``);
 ``--smoke`` shrinks the time grid so CI can exercise the pin in seconds.
@@ -100,13 +102,13 @@ def run(cells: int, t_stop: float, repeats: int, check: bool = True):
     # any one-time NumPy/SciPy import costs off the clock.
     _transient(cells, t_stop, compile_on=True)
 
-    compiled, t_compiled = _transient(cells, t_stop, compile_on=True)
-    for _ in range(repeats - 1):
-        t_compiled = min(t_compiled, _transient(cells, t_stop, True)[1])
+    t_compiled = t_interp = float("inf")
+    for _ in range(repeats):
+        compiled, elapsed = _transient(cells, t_stop, compile_on=True)
+        t_compiled = min(t_compiled, elapsed)
+        interp, elapsed = _transient(cells, t_stop, compile_on=False)
+        t_interp = min(t_interp, elapsed)
     cache = hdl_compile.cache_info()
-    interp, t_interp = _transient(cells, t_stop, compile_on=False)
-    for _ in range(repeats - 1):
-        t_interp = min(t_interp, _transient(cells, t_stop, False)[1])
 
     mismatches = [name for name in interp._data
                   if not np.array_equal(np.asarray(compiled._data[name]),
@@ -146,7 +148,7 @@ def test_behavioral_compile_speedup(benchmark):
     """Pytest entry point (regression-gate ledger suite)."""
     from conftest import report
     lines = benchmark.pedantic(
-        lambda: run(cells=8, t_stop=6e-3, repeats=2), rounds=1, iterations=1)
+        lambda: run(cells=8, t_stop=6e-3, repeats=3), rounds=1, iterations=1)
     report("Behavioral compiler: compiled kernels vs interpreter", lines)
 
 
@@ -156,7 +158,7 @@ def main(argv=None) -> int:
                         help="short time grid for CI (pins still enforced)")
     args = parser.parse_args(argv)
     if args.smoke:
-        lines = run(cells=8, t_stop=6e-3, repeats=2)
+        lines = run(cells=8, t_stop=6e-3, repeats=3)
     else:
         lines = run(cells=8, t_stop=10e-3, repeats=3)
     print("==== Behavioral compiler: compiled kernels vs interpreter ====")

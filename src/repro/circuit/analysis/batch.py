@@ -7,9 +7,12 @@ here stack those points along a lane axis and run the Newton core of
 
 * devices whose stamps broadcast (``Device.batch_safe``) are stamped once
   with ``(B,)`` parameter/state arrays,
-* devices that cannot broadcast (AD-dual behavioral models) are stamped per
-  lane through a genuine serial :class:`~repro.circuit.mna.StampContext`
-  aliasing the batch arrays,
+* devices that cannot broadcast -- guarded or interpreted behavioral
+  models, and every behavioral model under ``behavioral_compile=False`` --
+  are stamped per lane through a genuine serial
+  :class:`~repro.circuit.mna.StampContext` aliasing the batch arrays (which
+  side a device is on is decided once per solve, from the run's options:
+  :meth:`ParameterColumns.set_arrays`),
 * the linear stage factors all B Jacobians in one
   :func:`repro.linalg.batched_factorize` call, behind the same
   :class:`~repro.circuit.analysis.op.NewtonWorkspace` reuse, chord and stall
@@ -34,6 +37,7 @@ import numpy as np
 from ... import telemetry
 from ...errors import AnalysisError, LinAlgError
 from ...linalg import batched_factorize
+from ..devices.behavioral import BehavioralDevice
 from ..devices.sources import CurrentSource, VoltageSource
 from ..mna import BatchStampContext, MNASystem
 from ..netlist import Circuit
@@ -51,18 +55,18 @@ class ParameterColumns:
 
     Each assignment targets one device parameter (the
     :attr:`~repro.circuit.devices.base.Device._TUNABLE` protocol) with a
-    ``(B,)`` value column.  Batch-safe devices take the whole column at once
-    (:meth:`set_arrays`) so vectorized stamps broadcast; per-lane passes
-    (non-broadcastable stamping, output collection) swap in lane scalars via
-    :meth:`set_lane` / :meth:`set_unsafe_lane`.  :meth:`restore` puts the
-    original values back; use the instance as a context manager to make that
-    unconditional.
+    ``(B,)`` value column.  :meth:`set_arrays` decides which devices stamp
+    per lane (:attr:`per_lane`) and installs the whole column on the others,
+    so vectorized stamps broadcast; per-lane passes (non-broadcastable
+    stamping, output collection) swap in lane scalars via :meth:`set_lane` /
+    :meth:`set_unsafe_lane`.  :meth:`restore` puts the original values back;
+    use the instance as a context manager to make that unconditional.
     """
 
     def __init__(self, circuit: Circuit,
                  assignments: Iterable[tuple[str, str, Sequence[float]]]) -> None:
         self.circuit = circuit
-        self.entries: list[tuple[object, str, np.ndarray, object, bool]] = []
+        self.entries: list[tuple[object, str, np.ndarray, object]] = []
         batch: int | None = None
         for device_name, param, values in assignments:
             device = circuit[device_name]
@@ -78,36 +82,49 @@ class ParameterColumns:
                     f"parameter column {device_name}.{param} has {column.size} "
                     f"lanes, expected {batch}")
             original = device.get_parameter(param)
-            safe = bool(getattr(device, "batch_safe", False))
-            self.entries.append((device, param, column, original, safe))
+            self.entries.append((device, param, column, original))
         if batch is None:
             raise AnalysisError("a batch needs at least one parameter column")
         self.batch = batch
+        #: The circuit's devices that stamp one lane at a time, in circuit
+        #: order (set by :meth:`set_arrays`).
+        self.per_lane: list | None = None
 
     def targets(self, device) -> bool:
         """Whether any column writes to ``device``."""
         return any(entry[0] is device for entry in self.entries)
 
-    def set_arrays(self) -> None:
-        """Install the full ``(B,)`` columns on every batch-safe device."""
-        for device, param, column, _, safe in self.entries:
-            if safe:
+    def set_arrays(self, options: SimulationOptions | None = None) -> None:
+        """Decide :attr:`per_lane` for the run's ``options`` and install the
+        full ``(B,)`` columns on every other device.
+
+        A device stamps per lane when its stamps do not broadcast
+        (``Device.batch_safe``), and every behavioral device does under
+        ``behavioral_compile=False``: the interpreter stamps scalars only.
+        """
+        compiled = options is None or options.behavioral_compile
+        self.per_lane = [
+            device for device in self.circuit
+            if (isinstance(device, BehavioralDevice) and not compiled)
+            or not getattr(device, "batch_safe", False)]
+        for device, param, column, _ in self.entries:
+            if device not in self.per_lane:
                 device.set_parameter(param, column)
 
     def set_lane(self, lane: int) -> None:
         """Install lane scalars on *every* device (serial passes)."""
-        for device, param, column, _, _ in self.entries:
+        for device, param, column, _ in self.entries:
             device.set_parameter(param, float(column[lane]))
 
     def set_unsafe_lane(self, lane: int) -> None:
-        """Install lane scalars on the non-batch-safe devices only."""
-        for device, param, column, _, safe in self.entries:
-            if not safe:
+        """Install lane scalars on the :attr:`per_lane` devices only."""
+        for device, param, column, _ in self.entries:
+            if device in self.per_lane:
                 device.set_parameter(param, float(column[lane]))
 
     def restore(self) -> None:
         """Put every original parameter value back."""
-        for device, param, _, original, _ in self.entries:
+        for device, param, _, original in self.entries:
             device.set_parameter(param, original)
 
     def __enter__(self) -> "ParameterColumns":
@@ -133,20 +150,20 @@ def assemble_batch(system: MNASystem, x: np.ndarray, analysis: str,
                    want_jacobian: bool = True) -> BatchStampContext:
     """Assemble residuals (and Jacobians) for all B lanes at once.
 
-    Batch-safe devices stamp once over the lane axis; the rest stamp per
-    lane with their lane-scalar parameters installed.  Mixed circuits force
-    dense assembly -- per-lane triplet streams may diverge (behavioral
-    stamps skip exact-zero derivatives), so only all-safe circuits share a
-    triplet pattern.
+    Devices outside ``columns.per_lane`` (decided by
+    :meth:`ParameterColumns.set_arrays`) stamp once over the lane axis; the
+    rest stamp per lane with their lane-scalar parameters installed.  Mixed
+    circuits force dense assembly -- per-lane triplet streams may diverge
+    (behavioral stamps skip exact-zero derivatives), so only all-batch
+    circuits share a triplet pattern.
     """
-    unsafe = [device for device in system.circuit
-              if not getattr(device, "batch_safe", False)]
+    unsafe = columns.per_lane
     ctx = BatchStampContext(system, x, analysis=analysis, options=options,
                             source_scale=source_scale,
                             want_jacobian=want_jacobian,
                             force_dense=bool(unsafe))
     for device in system.circuit:
-        if getattr(device, "batch_safe", False):
+        if device not in unsafe:
             device.stamp(ctx)
     if unsafe:
         from ...hdl.compile.runtime import count_per_lane
@@ -253,7 +270,7 @@ def batched_newton(system: MNASystem, x0: np.ndarray, analysis: str,
     x = np.array(x0, dtype=float, copy=True)
     if telemetry.enabled():
         telemetry.registry.observe("batch.size", float(x.shape[0]))
-    columns.set_arrays()
+    columns.set_arrays(options)
     return newton_core(_Lanes(system, analysis, options, columns,
                               source_scale, ws, x.shape[0]), x)
 

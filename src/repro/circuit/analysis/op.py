@@ -89,6 +89,11 @@ def _same_matrix(stored, matrix) -> bool:
 #: Condition-estimate threshold of ``SimulationOptions.health_check``.
 CONDITION_LIMIT = 1e12
 
+#: Chord-Newton stall criterion: a chord iteration must shrink the residual
+#: norm below this fraction of the previous iteration's, otherwise the
+#: Jacobian is refactored.
+REFACTOR_THRESHOLD = 0.5
+
 
 class NewtonWorkspace:
     """Linear-stage state shared across the Newton solves of one analysis.
@@ -304,7 +309,7 @@ def newton_core(face: NewtonFace, x: np.ndarray):
             residual = np.max(np.abs(ctx.res), axis=-1, initial=0.0)
             if iteration >= chord_limit or (
                     previous_residual is not None and face.any_active(
-                        residual > options.refactor_threshold
+                        residual > REFACTOR_THRESHOLD
                         * previous_residual)):
                 ctx = face.assemble(x, True)
                 if not face.admit(ctx, iteration, refactor=True):

@@ -68,10 +68,6 @@ class SimulationOptions:
           full-Newton refactor when the residual stalls.  Fastest for
           smooth nonlinear transients; iterates may differ from full
           Newton within the convergence tolerance.
-    refactor_threshold:
-        Chord-Newton stall criterion: a chord iteration must shrink the
-        residual norm below ``refactor_threshold`` times the previous
-        iteration's norm, otherwise the Jacobian is refactored.
     step_chord_reuse:
         Chord-mode only: when a transient step is rejected (or re-grown) and
         only the step size ``h`` changed, keep riding the accepted-step
@@ -125,7 +121,6 @@ class SimulationOptions:
     linear_solver_rtol: float = 1e-10
     sparse_threshold: int = 256
     jacobian_reuse: str = "auto"
-    refactor_threshold: float = 0.5
     step_chord_reuse: bool = True
     behavioral_compile: bool = True
     telemetry: str = "off"
@@ -156,8 +151,6 @@ class SimulationOptions:
             raise AnalysisError(
                 f"unknown jacobian_reuse policy {self.jacobian_reuse!r} "
                 "(use 'off', 'auto' or 'chord')")
-        if not (0.0 < self.refactor_threshold < 1.0):
-            raise AnalysisError("refactor_threshold must be in (0, 1)")
         if self.telemetry not in ("off", "summary", "full"):
             raise AnalysisError(
                 f"unknown telemetry level {self.telemetry!r} "

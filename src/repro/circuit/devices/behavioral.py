@@ -357,14 +357,12 @@ class BehavioralDevice(Device):
         operating-point kernel (:mod:`repro.hdl.compile`); reading this
         property triggers that compile attempt.  Guarded or untraceable
         behaviours stay on the per-lane path, where the batched assembler's
-        ``lane_context`` still reaches the compiled *scalar* kernels.
+        ``lane_context`` still reaches the compiled *scalar* kernels; under
+        ``behavioral_compile=False`` batched assembly stamps the device per
+        lane whatever this says
+        (:meth:`~repro.circuit.analysis.batch.ParameterColumns.set_arrays`).
         """
         return _compile_runtime().batch_ready(self)
-
-    def batch_safe_for(self, options) -> bool:
-        """:attr:`batch_safe` under a specific options object (honors
-        ``behavioral_compile=False``)."""
-        return _compile_runtime().batch_ready(self, options)
 
     # ------------------------------------------------------------------ stamping
     def stamp(self, ctx: StampContext) -> None:

@@ -11,12 +11,13 @@ the guards the function branched on, and serves both execution paths:
 * **compiled** -- :func:`trace_partials` (reached through the
   ``Tracer._repro_partials_`` hook while a behavioral device is traced)
   substitutes the device's own nodes for the leaves, so the partials become
-  part of the device variant.  The existing ``jac``/``value``/``dfdp``
+  part of the device variant.  The existing ``jac``/``value``/``vector``
   codegen then differentiates them once more: the Newton Jacobian is the
-  exact Hessian chained through the device inputs, and ``dF/dp`` is exact.
+  exact Hessian chained through the device inputs.
 * **interpreted** -- :func:`partials` evaluates the same partial nodes on
   the caller's :class:`~repro.ad.Dual` or plain values with the operators
-  the Dual-mirroring codegen reproduces, so both paths agree bit for bit.
+  the Dual-mirroring codegen reproduces, so both paths agree bit for bit;
+  on parameter-seeded duals this gives the exact ``dF/dp``.
 
 Parameters: when ``func`` is a bound method of an object that declares
 ``parameter_attributes()`` (every

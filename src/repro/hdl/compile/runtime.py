@@ -3,16 +3,18 @@
 This module owns the per-device compile state (traced variants, permanent
 fallbacks) and the stamp-time protocol.
 
-One compiled scalar path
-------------------------
-Every compiled scalar stamp and record -- residual + Jacobian, residual
-only, output collection -- runs one generated **fused** function per
-(variant, MNA system) and task.  Its source splices the variant's kernel
-body (:attr:`~.codegen.KernelSet.parts`) between an index-resolved input
-gather and direct residual/Jacobian accumulation, with every constant
-(solution indices, stamp rows, leaf signs, state keys) baked in.  A stamp
-is therefore one call; the last fused function that succeeded per
-``(mode, task)`` is memoized in :attr:`CompileState.hot` and tried first.
+One compiled path
+-----------------
+Every compiled stamp and record runs one generated **fused** function per
+(variant, MNA system) and task: ``"jac"`` (residual + Jacobian),
+``"value"`` (residual only), ``"record"`` (output collection) and
+``"batch"`` (every lane of a :class:`~repro.circuit.mna.BatchStampContext`
+at once).  Its source splices the variant's kernel body
+(:attr:`~.codegen.KernelSet.parts`) between an index-resolved input gather
+and direct residual/Jacobian accumulation, with every constant (solution
+indices, stamp rows, leaf signs, state keys) baked in.  A stamp is
+therefore one call; the last fused function that succeeded per ``(mode,
+task)`` is memoized in :attr:`CompileState.hot` and tried first.
 Telemetry does not change the path: with a session open,
 ``hdl.kernel.eval_s`` times the fused call (gather + kernel +
 accumulation).
@@ -30,11 +32,12 @@ accumulation).
    accumulate into ``ctx.jac``; sparse ones append COO triplets in the
    order, with the values and the ``!= 0.0`` filter of
    ``StampContext.add_jac``.
-3. The batched path (``try_stamp_batch``) evaluates the lane-vectorized
-   kernel once over ``(B,)`` lanes.  It is only offered for devices whose
-   single operating-point variant traced without guards
-   (:func:`batch_ready`), which is what lets behavioral devices skip the
-   per-lane fallback in campaign batches.
+3. The ``"batch"`` task splices the lane-vectorized body, generated and
+   built on the first batch stamp, over ``(B,)`` lanes (swept parameters
+   are ``(B,)`` columns).  It sums colliding leaves explicitly and is
+   only offered for devices whose single operating-point variant traced
+   without guards (:func:`batch_ready`), which is what lets behavioral
+   devices skip the per-lane path in campaign batches.
 
 Hand-offs to the interpreter, which stays the bit-identical reference
 (``False``/``None`` from :func:`try_stamp`/:func:`try_record`):
@@ -73,7 +76,7 @@ from .trace import trace_behavior
 
 __all__ = ["MAX_VARIANTS", "FALLBACK_PREFIX", "CompileState",
            "compilation_enabled", "state_for", "try_stamp", "try_record",
-           "batch_ready", "count_per_lane", "try_stamp_batch"]
+           "batch_ready", "count_per_lane"]
 
 #: Re-trace budget per (device, mode): after this many traced variants the
 #: mode permanently falls back to the interpreter.
@@ -129,9 +132,11 @@ class _BoundVariant:
     default constant, ``("t",)`` analysis time -- so gathering is a tag
     dispatch with no per-stamp dict lookups.  ``geometry`` caches the MNA
     index map per system (lazily; systems are long-lived across a run).
+    ``spliceable`` is False when a binding's attribute name is no
+    identifier, so it cannot be spliced into generated source.
     """
 
-    __slots__ = ("kernels", "keys", "plan", "geometry")
+    __slots__ = ("kernels", "keys", "plan", "geometry", "spliceable")
 
     def __init__(self, device, kernels: codegen.KernelSet) -> None:
         self.kernels = kernels
@@ -156,6 +161,9 @@ class _BoundVariant:
                 plan.append(("t", None, None))
         self.plan = tuple(plan)
         self.geometry: _Geometry | None = None
+        self.spliceable = all(tag != "b" or (isinstance(b, str)
+                                              and b.isidentifier())
+                              for tag, _, b in plan)
 
 
 class _Geometry:
@@ -164,13 +172,13 @@ class _Geometry:
     ``dep_map`` is the collision-free scalar map: one
     ``(dependency index, leaf position, negate)`` triple per dependency that
     a leaf feeds, in the interpreter's dependency order.  ``entries`` keeps
-    the full index -> [(leaf, sign)] map for the batched path, which sums
-    colliding leaves explicitly.  ``plan`` is the bound gather plan with
-    across/unknown sources resolved to solution-vector indices (-1 =
+    the full index -> [(leaf, sign)] map for the ``"batch"`` task, which
+    sums colliding leaves explicitly.  ``plan`` is the bound gather plan
+    with across/unknown sources resolved to solution-vector indices (-1 =
     ground), so the fused gather indexes ``ctx.x`` directly.  ``fused``
-    maps each task (``"jac"``, ``"value"``, ``"record"``) to its fused
-    function; ``"jac"`` is None when leaves collide, and ``fusable`` is
-    False when the generator could not splice the variant.
+    maps each task to its fused function (``"batch"`` is added by
+    :meth:`task` on first use); ``"jac"`` is None when leaves collide, and
+    ``fusable`` is False when the generator could not splice the variant.
     """
 
     __slots__ = ("system", "deps", "entries", "collide", "dep_map",
@@ -217,39 +225,47 @@ class _Geometry:
         self.fusable = all(fn is not None or (task == "jac" and self.collide)
                            for task, fn in self.fused.items())
 
+    def task(self, device, bound: _BoundVariant, task: str):
+        """The fused ``task`` function, building ``"batch"`` on first use."""
+        if task not in self.fused:
+            self.fused[task] = _build_fused(device, bound, self, task)
+        return self.fused[task]
 
-def _emit_gather(bound: _BoundVariant, geo: _Geometry, namespace, emit) -> bool:
-    """Emit the index-resolved input gather; False if not fusable.
 
-    Parameters that are not ``float`` go through :func:`_check_param`:
-    other plain reals are widened, duals and bools raise
-    :class:`_ParamFallback`, which hands the call to the interpreter.
+def _emit_gather(geo: _Geometry, namespace, emit, lanes: bool) -> None:
+    """Emit the index-resolved input gather.
+
+    Scalar tasks read ``float(x[i])``; with ``lanes`` the batch task reads
+    ``x[:, i]`` columns.  Parameters that are not ``float`` go through
+    :func:`_check_param` (other plain reals are widened, duals and bools
+    raise :class:`_ParamFallback`, which hands the call to the
+    interpreter); in the batch task a swept ``(B,)`` column is taken as a
+    float array (:func:`_lane_param`).
     """
     if any(tag in ("a", "u") for tag, _, _ in geo.plan):
         emit("    x = ctx.x")
+    col = "x[:, {}]" if lanes else "float(x[{}])"
     for pos, (tag, a, b) in enumerate(geo.plan):
         if tag == "a":
-            ea = "0.0" if a < 0 else f"float(x[{a}])"
-            eb = "0.0" if b < 0 else f"float(x[{b}])"
+            ea = "0.0" if a < 0 else col.format(a)
+            eb = "0.0" if b < 0 else col.format(b)
             emit(f"    i{pos} = {ea} - {eb}")
         elif tag == "u":
-            emit(f"    i{pos} = float(x[{a}])")
+            emit(f"    i{pos} = {col.format(a)}")
         elif tag in ("b", "d"):
             if tag == "d":
                 source = f"device.params[{a!r}]"
-            elif isinstance(b, str) and b.isidentifier():
+            else:
                 namespace[f"_o{pos}"] = a
                 source = f"_o{pos}.{b}"
-            else:
-                return False
             emit(f"    i{pos} = {source}")
             emit(f"    if type(i{pos}) is not float:")
-            emit(f"        i{pos} = _check_param(i{pos})")
+            emit(f"        i{pos} = {'_lane_param' if lanes else '_check_param'}"
+                 f"(i{pos})")
         elif tag == "c":
             emit(f"    i{pos} = {float(a)!r}")
         else:  # time
             emit(f"    i{pos} = ctx.time")
-    return True
 
 
 _DDT_RE = re.compile(r"^(\w+) = ctx\.ddt\(_keys\[(\d+)\], ([^,()\s]+)\)$")
@@ -351,8 +367,9 @@ def _splice_kernel(bound: _BoundVariant, geo: _Geometry, namespace, emit,
 def _build_fused(device, bound: _BoundVariant, geo: _Geometry, task: str):
     """Generate one fused function of a (variant, system) pair.
 
-    ``task`` is ``"jac"`` (full stamp), ``"value"`` (residual-only stamp) or
-    ``"record"`` (output collection).  The generated source splices the
+    ``task`` is ``"jac"`` (full stamp), ``"value"`` (residual-only stamp),
+    ``"record"`` (output collection) or ``"batch"`` (every lane of a batch
+    context, see :func:`_emit_lanes`).  The generated source splices the
     kernel body between an index-resolved input gather and direct
     residual/Jacobian accumulation -- all constants (solution indices,
     stamp rows, leaf signs) baked in -- so a stamp is a single generated
@@ -361,31 +378,38 @@ def _build_fused(device, bound: _BoundVariant, geo: _Geometry, task: str):
     ``StampContext.add_*`` element by element, dense or sparse, keeping
     results bitwise identical.  Returns None when the variant cannot be
     fused (colliding leaves on ``"jac"``, exotic parameter bindings,
-    unexpected state-call shapes).
+    unexpected state-call shapes, no vector form for ``"batch"``).
 
     Contract of the generated function: ``True`` / the record dict = done,
     ``None`` = a guard failed, ``False`` = the interpreter must serve this
     call (see the module docstring); it raises :class:`_ParamFallback` for
     dual or bool parameters.
     """
-    if task == "jac" and geo.collide:
+    if (task == "jac" and geo.collide) or not bound.spliceable:
         return None
     kernels = bound.kernels
-    preamble, body, value_names, extras, rows = (
-        kernels.parts["jac" if task == "jac" else "value"])
+    if task == "batch":
+        parts = kernels.vector_parts()
+        if parts is None:
+            return None
+    else:
+        parts = kernels.parts["jac" if task == "jac" else "value"]
+    preamble, body, value_names, records, rows = parts
     namespace = {"math": math, "np": np, "_keys": bound.keys,
-                 "_check_param": _check_param}
+                 "_check_param": _check_param, "_lane_param": _lane_param}
     lines = ["def fused(ctx, device):"]
     emit = lines.append
-    if not _emit_gather(bound, geo, namespace, emit):
-        return None
+    _emit_gather(geo, namespace, emit, lanes=task == "batch")
+    if task == "batch":
+        _emit_lanes(geo, emit, preamble, body, value_names, rows)
+        return _exec_fused(lines, namespace)
     if not _splice_kernel(bound, geo, namespace, emit, preamble, body):
         return None
     if task == "record":
         items = []
         for port_name, v in zip(kernels.contrib_ports, value_names):
             items.append(f"{f'i({device.name}.{port_name})'!r}: float({v})")
-        for rec_name, r in zip(kernels.record_names, extras):
+        for rec_name, r in zip(kernels.record_names, records):
             items.append(
                 f"{f'{rec_name}({device.name})'!r}: float(np.real({r}))")
         emit(f"    return {{{', '.join(items)}}}")
@@ -433,6 +457,70 @@ def _build_fused(device, bound: _BoundVariant, geo: _Geometry, task: str):
     return _exec_fused(lines, namespace)
 
 
+def _emit_lanes(geo: _Geometry, emit, preamble, body, value_names,
+                rows) -> None:
+    """Emit the ``"batch"`` task after its gather: the vector body over
+    ``(B,)`` lanes, then accumulation into ``ctx.res[:, r]`` and
+    ``ctx.jac[:, r, c]`` (or the shared COO triplet lists).
+
+    Jacobian entries follow the serial (output, dependency) order, so
+    same-cell accumulations sum in the scalar sequence.  Leaves that
+    collide on one unknown are summed in leaf order with their signs; a
+    derivative that is a scalar zero is skipped (per-lane zeros are added
+    as zeros -- dense batch accumulation tolerates that).  The state calls
+    stay ``ctx.ddt``/``ctx.integ``: batch contexts are DC-class.
+    """
+    for line in preamble:
+        emit("    " + line)
+    emit("    with np.errstate(all='ignore'):")
+    for line in body:
+        emit("        " + line)
+    emit("    res = ctx.res")
+    targets = list(geo.contribs) + [(row, -1) for row in geo.eqs]
+    terms, dense, sparse = [], [], []
+    for out_pos, (ip, in_) in enumerate(targets):
+        v = value_names[out_pos]
+        if ip >= 0:
+            emit(f"    res[:, {ip}] += {v}")
+        if in_ >= 0:
+            emit(f"    res[:, {in_}] -= {v}")
+        for idx in geo.deps:
+            pairs = geo.entries.get(idx)
+            if not pairs:
+                continue
+            leaves = [rows[out_pos][pos] for pos, _ in pairs]
+            if leaves == ["0.0"]:
+                continue
+            d = f"_d{len(terms)}"
+            terms.append(f"{d} = " + " + ".join(
+                leaf if sign > 0.0 else f"-{leaf}"
+                for leaf, (_, sign) in zip(leaves, pairs)))
+            test = "" if leaves == ["1.0"] \
+                else f"if np.ndim({d}) or {d} != 0.0: "
+            items = [(r, neg) for r, neg in ((ip, False), (in_, True))
+                     if r >= 0]
+            dense.append(test + "; ".join(
+                f"jac[:, {r}, {idx}] {'-=' if neg else '+='} {d}"
+                for r, neg in items))
+            rs = ", ".join(str(r) for r, _ in items)
+            vs = ", ".join(("-" if neg else "") + d for _, neg in items)
+            sparse.append(f"{test}_jr += ({rs},); "
+                          f"_jc += ({', '.join([str(idx)] * len(items))},); "
+                          f"_jv += ({vs},)")
+    emit("    if not ctx.want_jacobian: return True")
+    for line in terms:
+        emit("    " + line)
+    emit("    if ctx.use_sparse:")
+    emit("        _jr, _jc, _jv = ctx._jac_rows, ctx._jac_cols, ctx._jac_vals")
+    for line in sparse:
+        emit("        " + line)
+    emit("        return True")
+    emit("    jac = ctx.jac")
+    for line in dense:
+        emit("    " + line)
+    emit("    return True")
+
+
 #: Process-wide ``source -> code object`` memo of the fused functions (the
 #: constants they bind live in each call's namespace, not in the source):
 #: every rebuild of one netlist and every campaign point compiles once.
@@ -468,42 +556,12 @@ def _check_param(value) -> float:
     return float(value)
 
 
-def _gather_nodes(device, bound: _BoundVariant, ctx, lanes: bool = False
-                  ) -> list:
-    """Node-based kernel inputs in layout order (batch and dF/dp contexts).
-
-    ``across`` returns lane arrays in batch contexts; with ``lanes`` a
-    parameter may also be a swept ``(B,)`` column.
-    """
-    values = []
-    for tag, a, b in bound.plan:
-        if tag == "a":
-            values.append(ctx.across(a) - ctx.across(b))
-        elif tag in ("b", "d"):
-            v = getattr(a, b) if tag == "b" else device.params[a]
-            if type(v) is not float:
-                v = np.asarray(v, dtype=float) \
-                    if lanes and isinstance(v, np.ndarray) else _check_param(v)
-            values.append(v)
-        elif tag == "u":
-            values.append(ctx.aux_value(device, a))
-        elif tag == "c":
-            values.append(a)
-        else:  # time
-            values.append(ctx.time)
-    return values
-
-
-def _dep_value(entries, idx: int, dlist):
-    """Derivative w.r.t. unknown ``idx`` from the per-leaf derivatives."""
-    pairs = entries.get(idx)
-    if not pairs:
-        return 0.0
-    total = None
-    for pos, sign in pairs:
-        term = dlist[pos] if sign > 0 else -dlist[pos]
-        total = term if total is None else total + term
-    return total
+def _lane_param(value):
+    """A batch parameter: a swept ``(B,)`` column as a float array, else
+    :func:`_check_param`."""
+    if isinstance(value, np.ndarray):
+        return np.asarray(value, dtype=float)
+    return _check_param(value)
 
 
 def _fall_back(state: CompileState, mode: str, reason: str) -> None:
@@ -534,14 +592,6 @@ def _retrace(device, state: CompileState, mode: str, stamp_ctx) -> None:
         state.disabled.add(mode)
         return
     state.variants.setdefault(mode, []).append(_BoundVariant(device, kernels))
-
-
-def _run_kernel(kernel, ctx, keys, inputs):
-    t0 = perf_counter()
-    try:
-        return kernel(ctx, keys, *inputs)
-    finally:
-        telemetry.registry.observe("hdl.kernel.eval_s", perf_counter() - t0)
 
 
 def _run_fused(fused, ctx, device):
@@ -598,9 +648,10 @@ def _serve(device, ctx, task: str):
         if not geo.fusable:
             _fall_back(state, mode, "unfusable")
             return False
-        fused = geo.fused[task]
+        fused = geo.task(device, bound, task)
         if fused is None:
-            # Leaves collide on one unknown: only the interpreter's in-dual
+            # Only "jac" gets here (batch_ready vouches for "batch"): leaves
+            # collide on one unknown, and only the interpreter's in-dual
             # summation reproduces those derivatives bitwise.
             telemetry.registry.inc(f"{FALLBACK_PREFIX}leaf_collision")
             return False
@@ -615,11 +666,14 @@ def _serve(device, ctx, task: str):
 
 
 def try_stamp(device, ctx) -> bool:
-    """Compiled replacement for ``BehavioralDevice.stamp``; False = fallback."""
+    """Compiled replacement for ``BehavioralDevice.stamp``; False = fallback.
+
+    A batch context reaches here only for a device that is
+    :func:`batch_ready` in a run that compiles behavioral models.
+    """
     if type(ctx) is not StampContext:
-        if isinstance(ctx, BatchStampContext):
-            return try_stamp_batch(device, ctx)
-        return False
+        return isinstance(ctx, BatchStampContext) and _serve(device, ctx,
+                                                            "batch")
     if not _scalar_eligible(ctx):
         return False
     return _serve(device, ctx, "jac" if ctx.want_jacobian else "value")
@@ -652,7 +706,7 @@ def _batch_bound(device, state: CompileState):
     if not variants or len(variants) != 1:
         return None
     bound = variants[0]
-    if bound.kernels.guarded or bound.kernels.vector() is None:
+    if not bound.spliceable or bound.kernels.vector_parts() is None:
         return None
     return bound
 
@@ -666,106 +720,7 @@ def count_per_lane(device, lanes: int) -> None:
         telemetry.registry.inc(f"{FALLBACK_PREFIX}guarded_per_lane", lanes)
 
 
-def batch_ready(device, options=None) -> bool:
-    """Whether the device can stamp a whole ``BatchStampContext`` at once."""
-    if options is not None and not compilation_enabled(options):
-        return False
+def batch_ready(device) -> bool:
+    """Whether the device can stamp a whole ``BatchStampContext`` at once
+    (batched assembly keeps it per lane under ``behavioral_compile=False``)."""
     return _batch_bound(device, state_for(device)) is not None
-
-
-def try_stamp_batch(device, ctx: BatchStampContext) -> bool:
-    """Stamp every lane of a batch context with one vector-kernel call."""
-    if not compilation_enabled(ctx.options):
-        return False
-    bound = _batch_bound(device, state_for(device))
-    if bound is None:
-        return False
-    kernels = bound.kernels
-    try:
-        inputs = _gather_nodes(device, bound, ctx, lanes=True)
-    except _ParamFallback:
-        return False
-    values, derivs = _run_kernel(kernels.vector(), ctx, bound.keys, inputs)
-    geo = _geometry(device, bound, ctx)
-    # Stamp in the serial (output, dependency) order so same-cell Jacobian
-    # accumulations sum in the same sequence as the scalar path.  Per-lane
-    # zero derivatives are added as zeros rather than skipped -- dense batch
-    # accumulation tolerates that (the scalar path's ``!= 0.0`` skip only
-    # avoids no-op adds).
-    out_pos = 0
-    for ip, in_ in geo.contribs:
-        ctx.add_through(ip, in_, values[out_pos])
-        if ctx.want_jacobian:
-            dlist = derivs[out_pos]
-            for idx in geo.deps:
-                dval = _dep_value(geo.entries, idx, dlist)
-                if dval is not None and np.ndim(dval) == 0 and dval == 0.0:
-                    continue
-                ctx.add_through_jac(ip, in_, idx, dval)
-        out_pos += 1
-    for row in geo.eqs:
-        ctx.add_res(row, values[out_pos])
-        if ctx.want_jacobian:
-            dlist = derivs[out_pos]
-            for idx in geo.deps:
-                dval = _dep_value(geo.entries, idx, dlist)
-                if dval is not None and np.ndim(dval) == 0 and dval == 0.0:
-                    continue
-                ctx.add_jac(row, idx, dval)
-        out_pos += 1
-    return True
-
-
-# --------------------------------------------------------------------------- #
-# dF/dp                                                                       #
-# --------------------------------------------------------------------------- #
-
-def parameter_gradients(device, ctx, parameter_names=None):
-    """Compiled ``dF/dp``: instantaneous partials of the device's residual
-    outputs with respect to its parameters, at the context's state.
-
-    Returns ``{output_name: {param: value}}`` with contribution outputs named
-    by port and equation outputs by unknown, or ``None`` when the device has
-    no applicable compiled variant (guards missed, mode disabled, compile
-    off).  Matches the dual-seeding contract of the sensitivity layer: state
-    operators contribute ``coefficient * dp`` through the active
-    discretization and baked initial values are parameter-independent.
-    """
-    if not _scalar_eligible(ctx):
-        return None
-    state = state_for(device)
-    mode = "tran" if ctx.is_transient else "op"
-    if mode in state.disabled:
-        return None
-    bounds = state.variants.get(mode)
-    if bounds is None:
-        _retrace(device, state, mode, ctx)
-        bounds = state.variants.get(mode)
-        if bounds is None:
-            return None
-    for bound in bounds:
-        try:
-            inputs = _gather_nodes(device, bound, ctx)
-        except _ParamFallback:
-            return None
-        kernels = bound.kernels
-        names = parameter_names
-        if names is None:
-            names = kernels.param_inputs
-        try:
-            out = _run_kernel(kernels.dfdp(), ctx, bound.keys, inputs)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            return None
-        if out is None:
-            continue
-        values, derivs = out
-        output_names = kernels.contrib_ports + kernels.eq_names
-        result: dict[str, dict[str, float]] = {}
-        for out_pos, output in enumerate(output_names):
-            row = {}
-            for k, param in enumerate(kernels.param_inputs):
-                if param in names:
-                    row[param] = derivs[out_pos][k]
-            result[output] = row
-        return result
-    return None

@@ -9,10 +9,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.ad.functions import exp
 from repro.campaign import (CampaignRunner, CircuitEvaluator, CornerSet,
                             FunctionEvaluator, GridSweep, MonteCarlo, Normal)
 from repro.circuit import Circuit, SimulationOptions
+from repro.circuit.devices.behavioral import BehavioralDevice, Port
 from repro.errors import CampaignError
+from repro.natures import ELECTRICAL
 
 SECTIONS = 6
 
@@ -29,6 +32,24 @@ def build_ladder(params):
 
 
 PARAM_MAP = {"vdd": "VS.dc", "rscale": "R0.resistance"}
+
+
+def build_behavioral_diode(params):
+    """Guard-free exponential behavioral diode behind a resistor."""
+    circuit = Circuit("behavioral diode")
+    circuit.voltage_source("VS", "n1", "0", params.get("vdd", 2.0))
+    circuit.resistor("R1", "n1", "n2", 1e3)
+
+    def behavior(ctx):
+        v = ctx.across("e")
+        ctx.contribute("e",
+                       ctx.param("isat") * (exp(v / ctx.param("vt")) - 1.0))
+
+    circuit.add(BehavioralDevice(
+        "DB", [Port("e", circuit.electrical_node("n2"), circuit.ground,
+                    ELECTRICAL)],
+        behavior, params={"isat": params.get("isat", 1e-9), "vt": 0.05}))
+    return circuit
 
 
 def double_rscale(value):
@@ -134,6 +155,21 @@ class TestBatchParity:
         batch = CampaignRunner(backend="batch").run(spec, batch_evaluator())
         errors = [row.error for row in serial if row.error is not None]
         assert errors, "expected at least one failing point"
+        assert_rows_identical(serial, batch)
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_behavioral_device_under_either_compile_option(self, compiled):
+        # Compiled, the guard-free diode stamps every lane at once; with
+        # behavioral_compile=False it must stamp lane by lane.
+        options = SimulationOptions(behavioral_compile=compiled)
+        spec = GridSweep(vdd=[1.0, 2.0, 3.0], isat=[1e-12, 1e-9])
+        serial = CampaignRunner(backend="serial").run(
+            spec, CircuitEvaluator(build_behavioral_diode, options=options))
+        batch = CampaignRunner(backend="batch").run(
+            spec, CircuitEvaluator(build_behavioral_diode, options=options,
+                                   param_map={"vdd": "VS.dc",
+                                              "isat": "DB.isat"}))
+        assert all(row.error is None for row in serial)
         assert_rows_identical(serial, batch)
 
     def test_batch_pool_composes(self):

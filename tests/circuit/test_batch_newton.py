@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ad.functions import exp
 from repro.circuit import Circuit, SimulationOptions
 from repro.circuit.analysis.batch import (ParameterColumns, batch_supported,
                                           batched_dcsweeps, batched_newton,
                                           batched_operating_points)
 from repro.circuit.analysis.dcsweep import DCSweepAnalysis
 from repro.circuit.analysis.op import OperatingPointAnalysis, newton_solve
+from repro.circuit.devices.behavioral import BehavioralDevice, Port
 from repro.circuit.mna import MNASystem
 from repro.errors import (AnalysisError, ConvergenceError, NetlistError,
                           SingularMatrixError)
+from repro.natures import ELECTRICAL
 from repro.transducers import TransverseElectrostaticTransducer
 
 
@@ -37,6 +40,25 @@ def build_actuator() -> Circuit:
     circuit.damper("D1", "m", "0", 1e-5)
     transducer = TransverseElectrostaticTransducer(area=4e-8, gap=2e-6)
     transducer.add_to_circuit(circuit, "XDCR", "a", "0", "m", "0")
+    return circuit
+
+
+def build_behavioral_diode() -> Circuit:
+    """Exponential behavioral diode behind a resistor: guard-free, so the
+    compiled batch task stamps every lane at once."""
+    circuit = Circuit("behavioral diode")
+    circuit.voltage_source("VS", "n1", "0", 2.0)
+    circuit.resistor("R1", "n1", "n2", 1e3)
+
+    def behavior(ctx):
+        v = ctx.across("e")
+        ctx.contribute("e",
+                       ctx.param("isat") * (exp(v / ctx.param("vt")) - 1.0))
+
+    circuit.add(BehavioralDevice(
+        "DB", [Port("e", circuit.electrical_node("n2"), circuit.ground,
+                    ELECTRICAL)],
+        behavior, params={"isat": 1e-9, "vt": 0.05}))
     return circuit
 
 
@@ -294,7 +316,8 @@ def _lane_values(low, high, log=False):
 
 def _parity_cases(drive: float) -> dict:
     """(circuit builder, [(device, parameter, lane values)]) per circuit;
-    ``drive`` caps the ladder's source voltage."""
+    ``drive`` caps the source voltage of the ladder and the behavioral
+    diode."""
     return {
         "ladder": (build_ladder, [("VS", "dc", _lane_values(0.2, drive)),
                                   ("R0", "resistance",
@@ -305,6 +328,9 @@ def _parity_cases(drive: float) -> dict:
         "actuator": (build_actuator, [("XDCR", "d",
                                        _lane_values(1.2e-6, 3e-6)),
                                       ("VB", "dc", _lane_values(0.0, 12.0))]),
+        "behavioral": (build_behavioral_diode,
+                       [("VS", "dc", _lane_values(0.2, drive)),
+                        ("DB", "isat", _lane_values(1e-12, 1e-6, log=True))]),
     }
 
 

@@ -46,12 +46,6 @@ class TestOptionValidation:
         with pytest.raises(AnalysisError):
             SimulationOptions(jacobian_reuse="always")
 
-    def test_refactor_threshold_range(self):
-        with pytest.raises(AnalysisError):
-            SimulationOptions(refactor_threshold=0.0)
-        with pytest.raises(AnalysisError):
-            SimulationOptions(refactor_threshold=1.0)
-
 
 class TestAutoReuse:
     def test_auto_bit_identical_to_off_nonlinear_transient(self):

@@ -31,8 +31,6 @@ from repro.circuit import (
     TransientAnalysis,
 )
 from repro.circuit.devices.behavioral import BehavioralDevice, Port
-from repro.circuit.analysis.sensitivity import (
-    parameter_residual_derivatives, resolve_parameters)
 from repro.circuit.mna import MNASystem
 from repro.hdl import compile as hdl_compile
 from repro.hdl.compile import codegen, ir, passes, runtime
@@ -162,6 +160,44 @@ def inductor_circuit() -> Circuit:
         "XL", [Port("e", circuit.electrical_node("out"), circuit.ground,
                     ELECTRICAL)],
         behavior, extra_unknowns=("i",)))
+    return circuit
+
+
+def shared_node_circuit() -> Circuit:
+    """Two ports on one node: both across leaves feed one unknown."""
+    circuit = Circuit()
+    circuit.voltage_source("V1", "in", "0", 2.0)
+    circuit.resistor("R1", "in", "out", 1e3)
+    node = circuit.electrical_node("out")
+
+    def behavior(ctx):
+        ctx.contribute("a", 1e-3 * ctx.across("a") * ctx.across("b"))
+
+    circuit.add(BehavioralDevice(
+        "XC", [Port("a", node, circuit.ground, ELECTRICAL),
+               Port("b", node, circuit.ground, ELECTRICAL)],
+        behavior))
+    return circuit
+
+
+def floating_two_port_circuit() -> Circuit:
+    """Port ``a`` floats between two nodes and port ``b`` starts at its
+    negative node: their leaves meet there with opposite signs."""
+    circuit = Circuit()
+    circuit.voltage_source("V1", "in", "0", 2.0)
+    circuit.resistor("R1", "in", "a", 1e3)
+    circuit.resistor("R2", "b", "0", 1e3)
+    a, b = circuit.electrical_node("a"), circuit.electrical_node("b")
+
+    def behavior(ctx):
+        va, vb = ctx.across("a"), ctx.across("b")
+        ctx.contribute("a", 1e-3 * va * vb + 1e-4 * va)
+        ctx.contribute("b", 2e-3 * va * va - 3e-4 * vb)
+
+    circuit.add(BehavioralDevice(
+        "XF", [Port("a", a, b, ELECTRICAL),
+               Port("b", b, circuit.ground, ELECTRICAL)],
+        behavior))
     return circuit
 
 
@@ -304,25 +340,9 @@ class TestDualSeededGradients:
                 analysis.sensitivities(params, ["v(n2)"]).matrix)
         assert np.array_equal(matrices[0], matrices[1])
 
-    def test_parameter_gradients_analytic(self):
-        # i = v / R so di/dR = -v / R^2 at the operating point.
-        circuit = Circuit()
-        circuit.voltage_source("V1", "in", "0", 6.0)
-        circuit.resistor("R1", "in", "out", 1e3)
-        device = behavioral_resistor(circuit, "X1", "out", "0", 2e3)
-        op = OperatingPointAnalysis(circuit, COMPILED).run()
-        system = MNASystem(circuit)
-        ctx = system.assemble(op.raw, "op", 0.0, None, COMPILED, 1.0,
-                              want_jacobian=False)
-        grads = hdl_compile.parameter_gradients(device, ctx)
-        assert grads is not None
-        (_, per_param), = grads.items()
-        v = op.voltage("out")
-        assert per_param["R"] == pytest.approx(-v / 2e3 ** 2, rel=1e-12)
-
 
 class TestDualSeededGradientsOnAxes(_OnEveryAxis, TestDualSeededGradients):
-    test_parameter_gradients_analytic = None
+    pass
 
 
 class TestEscapeHatches:
@@ -358,10 +378,72 @@ class TestBatchCompiled:
                 scale = max(1.0, abs(value))
                 assert abs(op[key] - value) / scale <= 1e-12
 
+    @pytest.mark.parametrize("linear_solver", ["dense", "sparse"])
+    @pytest.mark.parametrize("build", [diode_circuit, shared_node_circuit,
+                                       floating_two_port_circuit,
+                                       inductor_circuit])
+    def test_batch_task_matches_lane_stamps(self, build, linear_solver):
+        # One batch stamp -- colliding leaves summed, branch equations,
+        # DC ddt terms, dense or COO triplets -- matches every lane's
+        # serial assembly to rounding.
+        from repro.circuit.analysis.batch import (ParameterColumns,
+                                                  assemble_batch)
+
+        circuit = build()
+        options = SimulationOptions(linear_solver=linear_solver)
+        system = MNASystem(circuit)
+        columns = ParameterColumns(circuit,
+                                   [("R1", "resistance", [10.0, 1e3, 5e4])])
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, (3, system.size))
+        with columns:
+            columns.set_arrays(options)
+            assert not columns.per_lane
+            ctx = assemble_batch(system, x, "op", options, columns)
+            jacobians = ctx.jacobian()
+            for lane in range(3):
+                columns.set_lane(lane)
+                serial = system.assemble(x[lane], "op", 0.0, None, options)
+                jac = serial.jacobian()
+                batch_jac = jacobians[lane]
+                if linear_solver == "sparse":
+                    jac, batch_jac = jac.toarray(), batch_jac.toarray()
+                np.testing.assert_allclose(ctx.res[lane], serial.res,
+                                           rtol=1e-12, atol=1e-300)
+                np.testing.assert_allclose(batch_jac, jac, rtol=1e-12,
+                                           atol=1e-300)
+
     def test_batch_safe_honors_options_escape_hatch(self):
+        from repro.circuit.analysis.batch import ParameterColumns
+
         circuit = diode_circuit()
-        assert circuit["DB"].batch_safe_for(COMPILED) is True
-        assert circuit["DB"].batch_safe_for(INTERP) is False
+        with ParameterColumns(circuit, [("V1", "dc", [1.0, 2.0])]) as columns:
+            columns.set_arrays(COMPILED)
+            assert circuit["DB"] not in columns.per_lane
+            columns.set_arrays(INTERP)
+            assert circuit["DB"] in columns.per_lane
+
+    def test_interpreted_batch_stamps_per_lane_with_serial_parity(self):
+        # Under behavioral_compile=False the guard-free diode, batch-safe
+        # when compiled, must stamp one lane at a time: the interpreter
+        # stamps scalars only.
+        from repro.circuit.analysis.batch import (ParameterColumns,
+                                                  batched_operating_points)
+
+        circuit = diode_circuit()
+        vdd = np.array([1.0, 2.0, 3.0])
+        columns = ParameterColumns(circuit, [("V1", "dc", vdd)])
+        results = batched_operating_points(circuit, INTERP, columns)
+        assert all(op is not None for op in results)
+        for lane, op in enumerate(results):
+            columns.set_lane(lane)
+            try:
+                reference = OperatingPointAnalysis(circuit, INTERP).run()
+            finally:
+                columns.restore()
+            assert op.iterations == reference.iterations
+            for key, value in reference.items():
+                scale = max(1.0, abs(value))
+                assert abs(op[key] - value) / scale <= 1e-12
 
 
 # ------------------------------------------------- energy-method transducers
@@ -466,32 +548,6 @@ class TestEnergyMethodTransducers:
         assert_transients_identical(compiled, interp)
         assert hdl_compile.state_for(circuits[0]["XT"]).variants.get("tran")
 
-    def test_dfdp_kernel_matches_seeded_interpreter(self, kind):
-        circuit = retype(transducer_circuit(kind), self.axis)
-        options = axis_options(self.axis, True)
-        op = OperatingPointAnalysis(circuit, options).run()
-        system = MNASystem(circuit)
-        ctx = system.assemble(op.raw, "op", 0.0, None, options, 1.0,
-                              want_jacobian=False)
-        device = circuit["XT"]
-        grads = hdl_compile.parameter_gradients(device, ctx)
-        assert grads is not None
-        params = TRANSDUCERS[kind][3]
-        refs = resolve_parameters(circuit, [f"XT.{p}" for p in params])
-        dres = parameter_residual_derivatives(system, op.raw, refs, "op",
-                                              0.0, None,
-                                              axis_options(self.axis, False))
-        rows = {"elec": system.index_of(device.port("elec").p),
-                "mech": system.index_of(device.port("mech").p)}
-        for unknown in device.extra_unknowns:
-            rows[unknown] = system.aux_index(device, unknown)
-        for output, row in rows.items():
-            compiled = np.array([grads[output].get(p, 0.0) for p in params])
-            assert np.array_equal(compiled, dres[row]), output
-        if kind != "electrodynamic":
-            # (The gyrator closure captures its coupling at build time.)
-            assert np.any(dres[rows["mech"]] != 0.0)
-
 
 class TestEnergyMethodTransducersOnAxes(_OnEveryAxis,
                                         TestEnergyMethodTransducers):
@@ -588,24 +644,8 @@ class TestFallbackCounters:
         assert handed["summary"] <= handed["off"]
 
     def test_leaf_collision_is_counted(self):
-        def build():
-            # Two ports on one node: both across leaves feed one unknown.
-            circuit = Circuit()
-            circuit.voltage_source("V1", "in", "0", 2.0)
-            circuit.resistor("R1", "in", "out", 1e3)
-            node = circuit.electrical_node("out")
-
-            def behavior(ctx):
-                ctx.contribute("a", 1e-3 * ctx.across("a") * ctx.across("b"))
-
-            circuit.add(BehavioralDevice(
-                "XC", [Port("a", node, circuit.ground, ELECTRICAL),
-                       Port("b", node, circuit.ground, ELECTRICAL)],
-                behavior))
-            return circuit
-
         before = _fallbacks("leaf_collision")
-        compiled, interp = _op_pair(build)
+        compiled, interp = _op_pair(shared_node_circuit)
         assert np.array_equal(compiled.raw, interp.raw)
         # Once per full stamp after the first, which traces.
         assert _fallbacks("leaf_collision") == \
